@@ -5,125 +5,17 @@ once per cycle.  Generation is constant amortized time per vertex and
 O(n) space; the verify module re-derives the structural facts the
 stepping rule relies on, at desk scale."""
 
-from .bitwords import (
-    WordClass,
-    build_match_table,
-    classify,
-    decompose_dyck,
-    decompose_near_dyck,
-    dyck_words,
-    flip,
-    is_dyck_word,
-    is_near_dyck_word,
-    rev_complement,
-    weight,
-)
-from .flipseq import (
-    apply_flips,
-    flip_sequence,
-    last_vertex,
-    pair_source_sequence,
-    pair_target_sequence,
-)
-from .trees import (
-    RootedTree,
-    TreeShape,
-    booth_min_rotation,
-    canonical_root,
-    centers,
-    dyck_from_tree,
-    is_flip_tree,
-    is_pair_image,
-    is_pair_source,
-    pair_image,
-    pair_preimage,
-    rotate,
-    rotation_orbit,
-    tree_from_dyck,
-    tree_shape,
-)
-from .hamcycle import (
-    GeneratorState,
-    default_start,
-    forward_sequence,
-    generate,
-    ham_cycle,
-    init,
-    path_first_vertex,
-    total_vertices,
-)
-from .verify import (
-    CheckResult,
-    CycleSet,
-    FlipGraph,
-    TreeSignature,
-    check_edge_monotonicity,
-    check_listing,
-    check_six_cycles,
-    flip_graph,
-    format_check,
-    is_spanning_tree,
-    plane_classes,
-    run_suite,
-    tree_signature,
-    two_factor,
-)
+from .hamcycle import GeneratorState, generate, ham_cycle, init, total_vertices
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "WordClass",
-    "build_match_table",
-    "classify",
-    "decompose_dyck",
-    "decompose_near_dyck",
-    "dyck_words",
-    "flip",
-    "is_dyck_word",
-    "is_near_dyck_word",
-    "rev_complement",
-    "weight",
-    "apply_flips",
-    "flip_sequence",
-    "last_vertex",
-    "pair_source_sequence",
-    "pair_target_sequence",
-    "RootedTree",
-    "TreeShape",
-    "booth_min_rotation",
-    "canonical_root",
-    "centers",
-    "dyck_from_tree",
-    "is_flip_tree",
-    "is_pair_image",
-    "is_pair_source",
-    "pair_image",
-    "pair_preimage",
-    "rotate",
-    "rotation_orbit",
-    "tree_from_dyck",
-    "tree_shape",
     "GeneratorState",
-    "default_start",
-    "forward_sequence",
     "generate",
     "ham_cycle",
     "init",
-    "path_first_vertex",
-    "total_vertices",
-    "CheckResult",
-    "CycleSet",
-    "FlipGraph",
-    "TreeSignature",
-    "check_edge_monotonicity",
-    "check_listing",
-    "check_six_cycles",
-    "flip_graph",
-    "format_check",
-    "is_spanning_tree",
-    "plane_classes",
     "run_suite",
-    "tree_signature",
-    "two_factor",
+    "total_vertices",
     "__version__",
 ]

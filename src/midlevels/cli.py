@@ -7,12 +7,13 @@ Exit codes: 0 success, 1 verification failure, 2 malformed flags,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
 
 from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
-from .verify import format_check, run_suite
+from .verify import FULL_GRAPH_CAP, format_check, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,23 +97,35 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     out = sys.stdout
-    out.write(state.vertex())
-    out.write("\n")
-    if args.format == "bits":
-        for _ in range(count - 1):
-            next(state)
-            out.write(state.vertex())
-            out.write("\n")
-    else:
-        for _ in range(count - 1):
-            next(state)
-            out.write(f"{state.last_flip}\n")
+    try:
+        out.write(state.vertex())
+        out.write("\n")
+        if args.format == "bits":
+            for _ in range(count - 1):
+                next(state)
+                out.write(state.vertex())
+                out.write("\n")
+        else:
+            for _ in range(count - 1):
+                next(state)
+                out.write(f"{state.last_flip}\n")
+        # flush here, so that a closed pipe raises inside this try
+        out.flush()
+    except BrokenPipeError:
+        # The reader stopped early, which is not an error.  Point stdout
+        # at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_n <= 9:
-        print("error: --max-n must be between 1 and 9", file=sys.stderr)
+    if not 1 <= args.max_n <= FULL_GRAPH_CAP:
+        print(
+            f"error: --max-n must be between 1 and {FULL_GRAPH_CAP}",
+            file=sys.stderr,
+        )
         return 2
     results = run_suite(args.max_n)
     for r in results:

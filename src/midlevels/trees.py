@@ -5,20 +5,20 @@ A Dyck word with n ones encodes an ordered rooted tree with n edges: a
 Rotation moves the root to its first child without changing the embedded
 (plane) tree, so rotation orbits of words correspond to plane trees.
 
-`canonical_root` picks one rooted encoding per plane tree, anchored at
-the tree's center.  `is_flip_tree` marks, within each non-star orbit,
+Internally a rooting is a (root, first child) pair on the tree's cyclic
+adjacency.  `canonical_root` picks one rooting per plane tree, anchored
+at the tree's center.  `is_flip_tree` marks, within each non-star orbit,
 exactly one word whose path the generator replaces by its modified
-variant; that single swap per orbit is what merges the short cycles into
-one.
+variant; that single swap per orbit is what merges the short cycles
+into one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .bitwords import build_match_table, decompose_dyck, is_dyck_word
+from .bitwords import decompose_dyck, is_dyck_word
 
 __all__ = [
     "RootedTree",
@@ -29,8 +29,6 @@ __all__ = [
     "centers",
     "booth_min_rotation",
     "canonical_root",
-    "is_pair_source",
-    "is_pair_image",
     "pair_image",
     "pair_preimage",
     "TreeShape",
@@ -74,11 +72,26 @@ def tree_from_dyck(x: str) -> RootedTree:
     return RootedTree(parent, children)
 
 
-def _structure_word(children: Sequence[Sequence[int]], root: int) -> str:
-    # Preorder emit: '1' entering a child, '0' leaving it.  Iterative so
-    # deep trees cannot hit the recursion limit.
+def _adjacency(t: RootedTree) -> list[list[int]]:
+    # parent first, then children: the cyclic order around each vertex
+    # that rotation preserves
+    adj: list[list[int]] = [list(t.children[0])]
+    for v in range(1, t.size):
+        adj.append([t.parent[v]] + t.children[v])  # type: ignore[operator]
+    return adj
+
+
+def _encode(adj: list[list[int]], root: int, first: int) -> str:
+    """Dyck word of the tree rooted at root with first as leftmost child.
+
+    Every other vertex lists its children in the cyclic order of adj
+    that follows the edge it was entered by.  Iterative so deep trees
+    cannot hit the recursion limit.
+    """
+    lst = adj[root]
+    i = lst.index(first)
     out: list[str] = []
-    stack = [(root, iter(children[root]))]
+    stack = [(root, iter(lst[i:] + lst[:i]))]
     while stack:
         v, it = stack[-1]
         w = next(it, None)
@@ -86,15 +99,19 @@ def _structure_word(children: Sequence[Sequence[int]], root: int) -> str:
             stack.pop()
             if stack:
                 out.append("0")
-        else:
-            out.append("1")
-            stack.append((w, iter(children[w])))
+            continue
+        out.append("1")
+        nxt = adj[w]
+        j = nxt.index(v)
+        stack.append((w, iter(nxt[j + 1 :] + nxt[:j])))
     return "".join(out)
 
 
 def dyck_from_tree(t: RootedTree) -> str:
     """Encode an ordered rooted tree back into its Dyck word."""
-    return _structure_word(t.children, 0)
+    if not t.children[0]:
+        return ""
+    return _encode(_adjacency(t), 0, t.children[0][0])
 
 
 def rotate(x: str) -> str:
@@ -122,21 +139,10 @@ def rotation_orbit(x: str) -> list[str]:
     return orbit
 
 
-def _adjacency(t: RootedTree) -> list[list[int]]:
-    # parent first, then children: the cyclic order around each vertex
-    # that rotation preserves
-    adj: list[list[int]] = [list(t.children[0])]
-    for v in range(1, t.size):
-        adj.append([t.parent[v]] + t.children[v])  # type: ignore[operator]
-    return adj
-
-
-def centers(t: RootedTree) -> list[int]:
-    """The one or two center vertices of the underlying unrooted tree."""
-    size = t.size
+def _centers(adj: list[list[int]]) -> list[int]:
+    size = len(adj)
     if size <= 2:
         return list(range(size))
-    adj = _adjacency(t)
     deg = [len(a) for a in adj]
     layer = [v for v in range(size) if deg[v] == 1]
     alive = size
@@ -150,6 +156,11 @@ def centers(t: RootedTree) -> list[int]:
                     nxt.append(u)
         layer = nxt
     return sorted(layer)
+
+
+def centers(t: RootedTree) -> list[int]:
+    """The one or two center vertices of the underlying unrooted tree."""
+    return _centers(_adjacency(t))
 
 
 def booth_min_rotation(seq: Sequence[int]) -> int:
@@ -182,48 +193,32 @@ def booth_min_rotation(seq: Sequence[int]) -> int:
     return k + 1
 
 
-def _rooted_word(adj: Sequence[Sequence[int]], root: int, first: int) -> str:
-    # Encoding of the whole tree rooted at `root` with `first` as the
-    # leftmost child; child order elsewhere follows the cyclic order
-    # after the entry edge.
-    lst = adj[root]
-    i = lst.index(first)
-    out: list[str] = []
-    stack = [(root, iter(list(lst[i:]) + list(lst[:i])))]
-    while stack:
-        v, it = stack[-1]
-        w = next(it, None)
-        if w is None:
-            stack.pop()
-            if stack:
-                out.append("0")
-            continue
-        out.append("1")
-        nxt = adj[w]
-        j = nxt.index(v)
-        stack.append((w, iter(list(nxt[j + 1 :]) + list(nxt[:j]))))
-    return "".join(out)
-
-
-def _subtree_word(adj: Sequence[Sequence[int]], v: int, came: int) -> str:
-    # Encoding of the branch hanging at v when entered along came -> v.
-    lst = adj[v]
-    j = lst.index(came)
-    out: list[str] = []
-    stack = [(v, iter(list(lst[j + 1 :]) + list(lst[:j])))]
-    while stack:
-        u, it = stack[-1]
-        w = next(it, None)
-        if w is None:
-            stack.pop()
-            if stack:
-                out.append("0")
-            continue
-        out.append("1")
-        nxt = adj[w]
-        j2 = nxt.index(u)
-        stack.append((w, iter(list(nxt[j2 + 1 :]) + list(nxt[:j2]))))
-    return "".join(out)
+def _canonical_rooting(adj: list[list[int]]) -> tuple[int, int]:
+    """The (root, first child) pair whose encoding is `canonical_root`."""
+    cs = _centers(adj)
+    if len(cs) == 2:
+        a, b = cs
+        return (a, b) if _encode(adj, a, b) <= _encode(adj, b, a) else (b, a)
+    c = cs[0]
+    seq: list[int] = []
+    starts: list[int] = []
+    depth = 0
+    for ch in _encode(adj, c, adj[c][0]):
+        if depth == 0:
+            # the '1' opening the next branch of c
+            starts.append(len(seq))
+            seq.append(-1)
+            depth = 1
+        elif ch == "1":
+            seq.append(1)
+            depth += 1
+        else:
+            depth -= 1
+            if depth:
+                seq.append(0)
+    k = booth_min_rotation(seq) - 1
+    # -1 is the least symbol, so the least rotation starts at a branch
+    return c, adj[c][starts.index(k)]
 
 
 def canonical_root(x: str) -> str:
@@ -237,36 +232,8 @@ def canonical_root(x: str) -> str:
     """
     if not x:
         return ""
-    t = tree_from_dyck(x)
-    adj = _adjacency(t)
-    cs = centers(t)
-    if len(cs) == 2:
-        a, b = cs
-        return min(_rooted_word(adj, a, b), _rooted_word(adj, b, a))
-    c = cs[0]
-    seq: list[int] = []
-    for w in adj[c]:
-        seq.append(-1)
-        seq.extend(1 if ch == "1" else 0 for ch in _subtree_word(adj, w, c))
-    k = booth_min_rotation(seq) - 1
-    rot = seq[k:] + seq[:k]
-    parts: list[list[str]] = []
-    for sym in rot:
-        if sym == -1:
-            parts.append([])
-        else:
-            parts[-1].append("1" if sym == 1 else "0")
-    return "".join("1" + "".join(p) + "0" for p in parts)
-
-
-def is_pair_source(x: str) -> bool:
-    """Whether a Dyck word has the source shape 110w0v of a pair."""
-    return x[:3] == "110"
-
-
-def is_pair_image(x: str) -> bool:
-    """Whether a Dyck word has the target shape 101w0v of a pair."""
-    return x[:3] == "101"
+    adj = _adjacency(tree_from_dyck(x))
+    return _encode(adj, *_canonical_rooting(adj))
 
 
 def pair_image(x: str) -> str:
@@ -289,42 +256,34 @@ class TreeShape:
 
     is_star: bool
     has_thin_leaf: bool
-    is_dumbbell: bool
+
+
+def _shape(adj: list[list[int]]) -> TreeShape:
+    deg = [len(a) for a in adj]
+    non_leaves = sum(1 for d in deg if d != 1)
+    thin = any(d == 1 and deg[a[0]] == 2 for d, a in zip(deg, adj))
+    return TreeShape(non_leaves <= 1, thin)
 
 
 def tree_shape(x: str) -> TreeShape:
     """Shape predicates of x's underlying unrooted tree.
 
     A star has at most one non-leaf vertex; a thin leaf is a leaf whose
-    neighbor has degree two; a dumbbell has exactly two non-leaf
-    vertices.
+    neighbor has degree two.
     """
-    t = tree_from_dyck(x)
-    size = t.size
-    deg = [len(c) for c in t.children]
-    for v in range(1, size):
-        deg[v] += 1
-    non_leaves = sum(1 for d in deg if d != 1)
-    thin = False
-    for v in range(size):
-        if deg[v] == 1:
-            nb = t.parent[v] if v else t.children[0][0]
-            if deg[nb] == 2:
-                thin = True
-                break
-    return TreeShape(non_leaves <= 1, thin, non_leaves == 2)
+    return _shape(_adjacency(tree_from_dyck(x)))
 
 
 def is_flip_tree(x: str) -> bool:
     """Whether x is its orbit's designated cycle-joining word.
 
     Exactly one word per non-star plane tree answers True.  The test
-    re-roots the canonical encoding step by step (each rotation is O(1)
-    on the mutable child lists) until the first rotation exposing either
-    a thin leaf as 1100v, or, for trees without thin leaves, a leftmost
-    broom as 1(10)^k 0 v with k >= 2; x qualifies iff it equals that
-    rotation, and in the broom case the remainder v = (10)^l must have
-    l >= k.  Stars never qualify.  Raises if x is not a pair source.
+    rotates the canonical rooting step by step on the tree's static
+    adjacency until the first rotation exposing either a thin leaf as
+    1100v, or, for trees without thin leaves, a leftmost broom as
+    1(10)^k 0 v with k >= 2; x qualifies iff it equals that rotation,
+    and in the broom case the remainder v = (10)^l must have l >= k.
+    Stars never qualify.  Raises if x is not a pair source.
     """
     if x[:3] != "110":
         raise ValueError("not in tau domain")
@@ -333,37 +292,35 @@ def is_flip_tree(x: str) -> bool:
     if x[3] == "1":
         if x[4] == "1":
             return False
-        shape = tree_shape(x)
-        # a thin leaf would force the 1100 form, which x cannot match
-        if shape.is_star or shape.has_thin_leaf:
-            return False
         thin = False
+    elif len(x) == 4:
+        return False  # the lone two-edge tree is a star
     else:
-        if len(x) == 4:
-            return False  # the lone two-edge tree is a star
         # prefix 1100 exhibits a thin leaf directly: the first branch
         # is a single edge hanging off a degree-two vertex
         thin = True
-    xhat = canonical_root(x)
-    t = tree_from_dyck(xhat)
-    children: list[deque[int]] = [deque(c) for c in t.children]
-    root = 0
+    adj = _adjacency(tree_from_dyck(x))
+    if not thin:
+        shape = _shape(adj)
+        # a thin leaf would force the 1100 form, which x cannot match
+        if shape.is_star or shape.has_thin_leaf:
+            return False
+    root, first = _canonical_rooting(adj)
     for _ in range(len(x) + 1):
-        ch = children[root]
-        a = ch[0]
-        ca = children[a]
+        nb = adj[first]
         if thin:
-            if len(ca) == 1 and not children[ca[0]]:
-                return _structure_word(children, root) == x
-        else:
-            k = len(ca)
-            if k >= 2 and all(not children[c] for c in ca):
-                rest = list(ch)[1:]
-                if all(not children[c] for c in rest) and len(rest) < k:
-                    return False
-                return _structure_word(children, root) == x
-        # rotate in place: first child up, old root becomes its last child
-        ch.popleft()
-        ca.append(root)
-        root = a
+            if len(nb) == 2:
+                leaf = nb[1] if nb[0] == root else nb[0]
+                if len(adj[leaf]) == 1:
+                    return _encode(adj, root, first) == x
+        elif len(nb) >= 3 and all(len(adj[c]) == 1 for c in nb if c != root):
+            rest = adj[root]
+            if len(rest) < len(nb) and all(
+                len(adj[c]) == 1 for c in rest if c != first
+            ):
+                return False
+            return _encode(adj, root, first) == x
+        # rotate: first becomes the root, and its neighbour after the
+        # old root becomes the new first child
+        root, first = first, nb[(nb.index(root) + 1) % len(nb)]
     raise RuntimeError("no rotation of the canonical rooting matches")

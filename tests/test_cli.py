@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from midlevels import cli
 from midlevels.cli import main, run_benchmark
 
 N1_CYCLE = ["100", "110", "010", "011", "001", "101"]
@@ -124,3 +130,23 @@ def test_run_benchmark_result_is_consistent():
     assert r.seconds > 0
     assert r.ns_per_vertex == pytest.approx(r.seconds * 1e9 / 2000)
     assert r.vertices_per_second == pytest.approx(2000 / r.seconds)
+
+
+def test_gen_into_early_closed_pipe_exits_cleanly():
+    # `midlevels gen -n 9 | head -1`: the reader leaves after one line
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "midlevels.cli", "gen", "-n", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1" * 9 + b"0" * 10 + b"\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
