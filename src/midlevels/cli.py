@@ -10,10 +10,13 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TextIO
 
 from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
-from .verify import FULL_GRAPH_CAP, format_check, run_suite
+from .verify import FULL_GRAPH_CAP, format_check, run_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,6 +86,25 @@ def run_benchmark(n: int, count: int) -> BenchResult:
     return BenchResult(n, count, dt)
 
 
+@contextmanager
+def _piped_stdout() -> Iterator[TextIO]:
+    """stdout for a command's output, flushed when the block ends.
+
+    A reader that closes the pipe early is not an error: the block stops
+    at the first write that fails, and stdout is pointed at devnull so
+    the interpreter's final flush stays quiet.
+    """
+    out = sys.stdout
+    try:
+        yield out
+        # flush here, so that a closed pipe raises inside this try
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: -n must be at least 1", file=sys.stderr)
@@ -96,27 +118,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    out = sys.stdout
-    try:
-        out.write(state.vertex())
-        out.write("\n")
+    with _piped_stdout() as out:
+        out.write(state.vertex() + "\n")
         if args.format == "bits":
             for _ in range(count - 1):
                 next(state)
-                out.write(state.vertex())
-                out.write("\n")
+                out.write(state.vertex() + "\n")
         else:
             for _ in range(count - 1):
                 next(state)
                 out.write(f"{state.last_flip}\n")
-        # flush here, so that a closed pipe raises inside this try
-        out.flush()
-    except BrokenPipeError:
-        # The reader stopped early, which is not an error.  Point stdout
-        # at devnull so the interpreter's final flush stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
     return 0
 
 
@@ -127,10 +138,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    results = run_suite(args.max_n)
-    for r in results:
-        print(format_check(r))
-    return 0 if all(r.passed for r in results) else 1
+    failed = False
+    with _piped_stdout() as out:
+        for n in range(1, args.max_n + 1):
+            for r in run_checks(n):
+                print(format_check(r), file=out)
+                failed = failed or not r.passed
+            # each n's lines go out as soon as its checks are done
+            out.flush()
+    return 1 if failed else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -1,16 +1,21 @@
 """The cyclic generator over the two middle levels.
 
 Vertices are the bitstrings of length 2n+1 with weight n or n+1; each
-step flips one bit.  The walk is organized in rounds of 4n+2 visits: a
-forward pass along one path of the length-2n words with last bit 0, a
-flip of the last bit to 1, a mirrored backward pass, and a flip back to
-0, which lands on the next path's first vertex.  Path boundaries are the
-only points where any O(n) bookkeeping happens, so the amortized cost
-per visit is constant and the working set stays O(n).
+step flips one bit.  The walk is organized in rounds of 4n+2 visits,
+made of two passes.  A forward pass walks one path of the length-2n
+words with last bit 0 and ends with the flip of the last bit to 1; the
+backward pass mirrors a path with last bit 1 and ends with the flip of
+the last bit back to 0, which lands on the next path's first vertex.
+Each pass is one list of flip positions whose final entry, 2n+1, is that
+closing flip, so the top bit just written says which pass comes next.
+Pass boundaries are the only points where any O(n) bookkeeping happens,
+so the amortized cost per visit is constant and the working set stays
+O(n).
 
-`GeneratorState` can start at any vertex: the constructor derives which
-path owns the start vertex and resumes mid-round, so every start yields
-the same cyclic listing, merely rotated.
+`GeneratorState` can start at any vertex: the constructor finds the
+pass that owns the start vertex, builds it as a boundary would, and
+resumes at the start's place in it, so every start yields the same
+cyclic listing, merely rotated.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from math import comb
 
-from .bitwords import is_dyck_word, rev_complement, decompose_near_dyck
+from .bitwords import rev_complement, decompose_near_dyck
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .trees import is_flip_tree, pair_image, pair_preimage
 
@@ -32,8 +37,6 @@ __all__ = [
     "total_vertices",
     "default_start",
 ]
-
-_PHASE_NAMES = ("forward", "match-up", "backward", "match-down")
 
 
 def total_vertices(n: int) -> int:
@@ -139,18 +142,26 @@ def path_first_vertex(z: str) -> str:
     return "".join(parts)
 
 
+def _partner(y: str) -> str | None:
+    """The other word of y's flip pair, or None.  A pair is a source
+    110w0v for which is_flip_tree holds and its image 101w0v."""
+    if y[:3] == "110" and is_flip_tree(y):
+        return pair_image(y)
+    if y[:3] == "101" and is_flip_tree(pair_preimage(y)):
+        return pair_preimage(y)
+    return None
+
+
 def forward_sequence(z: str, flips: bool = True) -> list[int]:
     """Flip sequence the generator walks from first vertex z.
 
-    With flips enabled, the one designated word per plane-tree orbit
-    (and its partner) get the modified pair rules; everything else walks
-    the basic sequence.
+    With flips enabled, the words of a pair get the modified pair rules;
+    everything else walks the basic sequence.
     """
-    if flips:
-        if z[:3] == "110" and is_flip_tree(z):
+    if flips and _partner(z) is not None:
+        if z[1] == "1":
             return pair_source_sequence(z)
-        if z[:3] == "101" and is_flip_tree(pair_preimage(z)):
-            return pair_target_sequence(z)
+        return pair_target_sequence(z)
     return flip_sequence(z)
 
 
@@ -179,9 +190,14 @@ class GeneratorState:
     buffer[p] is the bit at 1-based position p.  The buffer is owned by
     the state and overwritten in place; use vertex() for a string
     snapshot.  i counts visits, the start vertex included.
+
+    The cursor is the current pass's flip list and the index of the next
+    flip in it.  The list ends with the pass's closing flip of position
+    2n+1; once that is done, the top bit just written picks the next
+    pass: 1 starts a backward pass, 0 a forward pass.
     """
 
-    __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_phase", "_last")
+    __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_last")
 
     def __init__(self, n: int, start: str | None = None, flips: bool = True):
         if n < 1:
@@ -198,89 +214,62 @@ class GeneratorState:
         self._last: int | None = None
         z = start[:-1]
         if start[-1] == "0":
-            if is_dyck_word(z):
-                self._seq = forward_sequence(z, flips)
-                self._k = 0
-                self._phase = 0
-                return
-            ystar = path_first_vertex(z)
-            if flips:
+            y = path_first_vertex(z)
+            if flips and y != z:
                 # z is an interior vertex: if its basic path was traded
                 # away in a pair, z now lies on the partner's walk
-                if ystar[:3] == "110" and is_flip_tree(ystar):
-                    ystar = pair_image(ystar)
-                elif ystar[:3] == "101" and is_flip_tree(pair_preimage(ystar)):
-                    ystar = pair_preimage(ystar)
-            seq = forward_sequence(ystar, flips)
-            t = _locate(ystar, seq, z)
-            self._seq = seq
-            if t == len(seq):
-                self._k = 0
-                self._phase = 1
-            else:
-                self._k = t
-                self._phase = 0
+                y = _partner(y) or y
+            self._forward_pass(y, start)
         else:
-            # last bit 1: mid-backward pass, which mirrors a basic path
-            zbar = rev_complement(z)
-            g = path_first_vertex(zbar)
-            s = flip_sequence(g)
-            t = _locate(g, s, zbar)
-            if t == 0:
-                self._seq = []
-                self._k = 0
-                self._phase = 3
-            else:
-                self._seq = [size - q for q in reversed(s)]
-                self._k = len(s) - t
-                self._phase = 2
+            self._backward_pass(path_first_vertex(rev_complement(z)), start)
 
     def __iter__(self) -> GeneratorState:
         return self
 
     def __next__(self) -> bytearray:
-        ph = self._phase
         buf = self._buf
-        if ph == 0 or ph == 2:
-            k = self._k
-            seq = self._seq
-            p = seq[k]
-            buf[p] ^= 1
-            k += 1
-            if k == len(seq):
-                self._phase = ph + 1
-                self._k = 0
+        seq = self._seq
+        k = self._k
+        p = seq[k]
+        buf[p] ^= 1
+        self._last = p
+        k += 1
+        if k == len(seq):
+            # the closing flip: the top bit it wrote picks the next pass
+            if buf[p] == 49:
+                self._start_backward()
             else:
-                self._k = k
-            self._last = p
-        elif ph == 1:
-            p = 2 * self.n + 1
-            buf[p] = 49
-            self._last = p
-            self._start_backward()
+                self._start_forward()
         else:
-            p = 2 * self.n + 1
-            buf[p] = 48
-            self._last = p
-            self._start_forward()
+            self._k = k
         self.i += 1
         return buf
 
     def _start_backward(self) -> None:
-        size = 2 * self.n + 1
-        e = self._buf[1:size].decode()
-        u, v = decompose_near_dyck(e)
-        g = "1" + rev_complement(v) + "0" + rev_complement(u)
-        s = flip_sequence(g)
-        self._seq = [size - q for q in reversed(s)]
-        self._k = 0
-        self._phase = 2
+        u, v = decompose_near_dyck(self._buf[1 : 2 * self.n + 1].decode())
+        self._backward_pass("1" + rev_complement(v) + "0" + rev_complement(u))
 
     def _start_forward(self) -> None:
-        z = self._buf[1 : 2 * self.n + 1].decode()
-        self._seq = forward_sequence(z, self.flips)
-        self._k = 0
-        self._phase = 0
+        self._forward_pass(self._buf[1 : 2 * self.n + 1].decode())
+
+    def _forward_pass(self, y: str, at: str | None = None) -> None:
+        """Enter the forward pass from y + '0' at vertex at (default: its
+        first vertex)."""
+        seq = forward_sequence(y, self.flips)
+        seq.append(2 * self.n + 1)
+        self._seq = seq
+        self._k = 0 if at is None else _locate(y + "0", seq, at)
+
+    def _backward_pass(self, g: str, at: str | None = None) -> None:
+        """Enter the backward pass that mirrors the basic path from g, at
+        vertex at (default: its first vertex)."""
+        size = 2 * self.n + 1
+        s = flip_sequence(g)
+        self._seq = [size - q for q in reversed(s)]
+        self._seq.append(size)
+        # at mirrors the vertex t steps along g's basic path, so it sits
+        # len(s) - t steps into this pass
+        self._k = 0 if at is None else len(s) - _locate(g, s, rev_complement(at[:-1]))
 
     @property
     def buffer(self) -> bytearray:
@@ -293,13 +282,9 @@ class GeneratorState:
         return self._last
 
     @property
-    def phase(self) -> str:
-        return _PHASE_NAMES[self._phase]
-
-    @property
     def at_first_vertex(self) -> bool:
         """True when the current vertex starts a forward pass."""
-        return self._phase == 0 and self._k == 0
+        return self._k == 0 and self._buf[-1] == 48
 
     def vertex(self) -> str:
         """String snapshot of the current vertex."""

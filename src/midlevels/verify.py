@@ -38,6 +38,7 @@ __all__ = [
     "tree_signature",
     "check_edge_monotonicity",
     "check_six_cycles",
+    "run_checks",
     "run_suite",
 ]
 
@@ -372,6 +373,45 @@ def check_six_cycles(n: int, *, cap: int = FULL_GRAPH_CAP) -> list[CheckResult]:
     ]
 
 
+def run_checks(
+    n: int,
+    *,
+    full_cap: int = FULL_GRAPH_CAP,
+    tree_cap: int = TREE_GRAPH_CAP,
+) -> list[CheckResult]:
+    """All structural checks for one n."""
+    results = check_listing(n, generate(n))
+
+    classes = plane_classes(n)
+    n_classes = len(set(classes.values()))
+    plain = two_factor(n, False, cap=full_cap)
+    ok = plain.count == n_classes and sum(plain.lengths) == total_vertices(n)
+    detail = f"{plain.count} cycles over {sum(plain.lengths)} vertices"
+    results.append(CheckResult("two-factor-count", n, ok, detail))
+    round_len = 4 * n + 2
+    ok = all(length % round_len == 0 for length in plain.lengths)
+    detail = f"all divisible by {round_len}" if ok else str(plain.lengths)
+    results.append(CheckResult("two-factor-lengths", n, ok, detail))
+
+    joined = two_factor(n, True, cap=full_cap)
+    ok = joined.count == 1 and joined.lengths == [total_vertices(n)]
+    detail = f"{joined.count} cycle(s), lengths {joined.lengths}"
+    results.append(CheckResult("single-cycle", n, ok, detail))
+
+    g = flip_graph(n, cap=tree_cap)
+    detail = f"{len(g.nodes)} nodes, {len(g.edges)} edges"
+    results.append(CheckResult("flip-graph-tree", g.n, is_spanning_tree(g), detail))
+    out_deg: dict[str, int] = {}
+    for a, _ in g.edges:
+        out_deg[a] = out_deg.get(a, 0) + 1
+    ok = all(d <= 1 for d in out_deg.values())
+    results.append(CheckResult("flip-graph-outdegree", n, ok))
+    results.append(check_edge_monotonicity(g))
+
+    results += check_six_cycles(n, cap=full_cap)
+    return results
+
+
 def run_suite(
     max_n: int = 6,
     *,
@@ -383,57 +423,5 @@ def run_suite(
         raise ValueError("desk-scale only")
     results: list[CheckResult] = []
     for n in range(1, max_n + 1):
-        results += check_listing(n, generate(n))
-
-        classes = plane_classes(n)
-        n_classes = len(set(classes.values()))
-        plain = two_factor(n, False, cap=full_cap)
-        ok = plain.count == n_classes and sum(plain.lengths) == total_vertices(n)
-        results.append(
-            CheckResult(
-                "two-factor-count",
-                n,
-                ok,
-                f"{plain.count} cycles over {sum(plain.lengths)} vertices",
-            )
-        )
-        round_len = 4 * n + 2
-        ok = all(length % round_len == 0 for length in plain.lengths)
-        results.append(
-            CheckResult(
-                "two-factor-lengths",
-                n,
-                ok,
-                f"all divisible by {round_len}" if ok else str(plain.lengths),
-            )
-        )
-
-        joined = two_factor(n, True, cap=full_cap)
-        ok = joined.count == 1 and joined.lengths == [total_vertices(n)]
-        results.append(
-            CheckResult(
-                "single-cycle",
-                n,
-                ok,
-                f"{joined.count} cycle(s), lengths {joined.lengths}",
-            )
-        )
-
-        g = flip_graph(n, cap=tree_cap)
-        results.append(
-            CheckResult(
-                "flip-graph-tree",
-                g.n,
-                is_spanning_tree(g),
-                f"{len(g.nodes)} nodes, {len(g.edges)} edges",
-            )
-        )
-        out_deg: dict[str, int] = {}
-        for a, _ in g.edges:
-            out_deg[a] = out_deg.get(a, 0) + 1
-        ok = all(d <= 1 for d in out_deg.values())
-        results.append(CheckResult("flip-graph-outdegree", n, ok))
-        results.append(check_edge_monotonicity(g))
-
-        results += check_six_cycles(n, cap=full_cap)
+        results += run_checks(n, full_cap=full_cap, tree_cap=tree_cap)
     return results

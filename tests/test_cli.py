@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from midlevels import cli
 from midlevels.cli import main, run_benchmark
+from midlevels.verify import CheckResult
 
 N1_CYCLE = ["100", "110", "010", "011", "001", "101"]
 
@@ -95,6 +97,22 @@ def test_verify_command(capsys):
     assert all(" PASS" in line for line in out)
 
 
+def test_verify_writes_each_n_before_checking_the_next(monkeypatch):
+    # stdout is block-buffered: bytes reach `raw` only when flushed
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    written_before: dict[int, bytes] = {}
+
+    def fake_checks(n):
+        written_before[n] = raw.getvalue()
+        return [CheckResult("fake", n, True)]
+
+    monkeypatch.setattr(cli, "run_checks", fake_checks)
+    assert main(["verify", "--max-n", "2"]) == 0
+    assert written_before == {1: b"", 2: b"CHECK fake n=1 PASS\n"}
+    assert raw.getvalue() == b"CHECK fake n=1 PASS\nCHECK fake n=2 PASS\n"
+
+
 def test_verify_rejects_out_of_range_max_n(capsys):
     rc, _, err = _run(capsys, ["verify", "--max-n", "0"])
     assert rc == 2
@@ -132,21 +150,32 @@ def test_run_benchmark_result_is_consistent():
     assert r.vertices_per_second == pytest.approx(2000 / r.seconds)
 
 
-def test_gen_into_early_closed_pipe_exits_cleanly():
-    # `midlevels gen -n 9 | head -1`: the reader leaves after one line
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        pytest.param(["gen", "-n", "9"], b"1" * 9 + b"0" * 10 + b"\n", id="gen"),
+        pytest.param(
+            ["verify", "--max-n", "6"],
+            b"CHECK listing-shape n=1 PASS 6 words\n",
+            id="verify",
+        ),
+    ],
+)
+def test_gen_into_early_closed_pipe_exits_cleanly(argv, first_line):
+    # `midlevels ARGS | head -1`: the reader leaves after one line
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "midlevels.cli", "gen", "-n", "9"],
+    with subprocess.Popen(
+        [sys.executable, "-m", "midlevels.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.readline() == b"1" * 9 + b"0" * 10 + b"\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err

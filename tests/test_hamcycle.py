@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from midlevels.bitwords import dyck_words
@@ -124,18 +126,6 @@ def test_round_structure(n):
     assert top_flips == 2 * (total_vertices(n) // round_len)
 
 
-def test_phase_names():
-    state = GeneratorState(1)
-    seen = [state.phase]
-    for _ in range(5):
-        next(state)
-        seen.append(state.phase)
-    assert seen == [
-        "forward", "forward", "match-up", "backward", "backward",
-        "match-down",
-    ]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_full_listing_is_a_single_cycle(n):
     listing = list(generate(n))
@@ -151,6 +141,31 @@ def test_every_start_vertex_resumes_the_same_cycle():
     canonical = list(generate(n))
     for start in canonical:
         assert is_rotation(list(generate(n, start)), canonical)
+
+
+@pytest.mark.parametrize("n", [10, 37, 200])
+def test_resume_continues_the_walk_through_it(n):
+    # resuming at a vertex v the walk reached continues that walk for two
+    # rounds, one bit per step, alternating between the two weights
+    rng = random.Random(n)
+    size = 2 * n + 1
+    span = 2 * (4 * n + 2)
+    for _ in range(40):
+        ones = set(rng.sample(range(size), n + rng.randrange(2)))
+        walk = GeneratorState(n, "".join("1" if i in ones else "0" for i in range(size)))
+        for _ in range(rng.randrange(span + 1)):
+            next(walk)
+        resumed = GeneratorState(n, walk.vertex())
+        prev = bytes(resumed.buffer)
+        assert prev == bytes(walk.buffer)
+        for _ in range(span):
+            next(walk)
+            cur = bytes(next(resumed))
+            p = resumed.last_flip
+            assert p == walk.last_flip
+            assert cur[:p] == prev[:p] and cur[p] != prev[p] and cur[p + 1 :] == prev[p + 1 :]
+            assert {prev.count(b"1"), cur.count(b"1")} == {n, n + 1}
+            prev = cur
 
 
 def test_init_spot_value():

@@ -31,11 +31,84 @@ LISTING_SHA256 = {
     9: "171ac08b93f4281894db74d1d9b6ce9cb324b517cfb2218d95e9326714c16f6a",
 }
 
-# sha256 of `midlevels gen -n N --count 1000001 --format delta`
-DELTA_SHA256 = {
-    19: "d762078ee088187f4808842de49a6e4c6c48698b085019892b400892503944b9",
-    500: "691c489dc8b4ca8e674f51d2ca1b6c4dccf589f50fbbecfb1aed3e4bae23acba",
-}
+# sha256 of `midlevels gen -n N [--start S] --count C --format delta`.
+# The first entry per n starts at the default vertex and runs 10^6 steps;
+# the others resume at one start of each kind the constructor tells
+# apart and run 10^5 steps.  In the pair starts, x = 1(10)^k 0 (10)^l 0
+# is a broom source for which is_flip_tree holds, and the partner is
+# 101 (10)^(k-1) 0 (10)^l 0.
+DELTA_SHA256 = [
+    pytest.param(
+        19, None, 1000001,
+        "d762078ee088187f4808842de49a6e4c6c48698b085019892b400892503944b9",
+        id="19",
+    ),
+    pytest.param(
+        19, "1" * 13 + "0" * 20 + "1" * 6, 100001,
+        "ee8eb6a2361ba282cb6252c2a58d4cbbfd7e3b100b49c590fb66e24fa8a72d79",
+        id="19-mid-backward",
+    ),
+    pytest.param(
+        19, "1" * 18 + "0" * 19 + "10", 100001,
+        "c80ae8e2960e07b525495eea329266a16a36db0be606240832aa37593112f054",
+        id="19-before-forward-close",
+    ),
+    pytest.param(
+        19, "1" * 18 + "0" * 18 + "101", 100001,
+        "6d726d0e3018aca2e7b59b77d4d707995ecdf3aff4424c17a29e88b7a9ccadac",
+        id="19-before-backward-close",
+    ),
+    pytest.param(
+        19, "1" + "10" * 9 + "0" + "10" * 9 + "0", 100001,
+        "3d350c7ff17b554a501bdc45a122e9b47e6e69e83a9e3d9723712b8be05086cb",
+        id="19-pair-source",
+    ),
+    pytest.param(
+        19, "101" + "10" * 8 + "0" + "10" * 9 + "0", 100001,
+        "c46044117bbdbba8fd559d5cc8fe8eb6bfde70e10329a9b16869e134e080d8a9",
+        id="19-pair-partner",
+    ),
+    pytest.param(
+        19, "10" * 4 + "011" + "10" * 4 + "1" + "10" * 9 + "0", 100001,
+        "aa5bfe229584d4e0d98381a5467844d8673336e93324098dabbd2e954c374504",
+        id="19-partner-interior",
+    ),
+    pytest.param(
+        500, None, 1000001,
+        "691c489dc8b4ca8e674f51d2ca1b6c4dccf589f50fbbecfb1aed3e4bae23acba",
+        id="500",
+    ),
+    pytest.param(
+        500, "1" * 374 + "0" * 501 + "1" * 126, 100001,
+        "697d0c77513ed82e3ddc73d843ee846aca66cd0876e5686ccd70f18e1f4bee35",
+        id="500-mid-backward",
+    ),
+    pytest.param(
+        500, "1" * 499 + "0" * 500 + "10", 100001,
+        "6d8f6cb5ae23cfd22ddd81eb8d4d1417cbb5c6565caef37510163353cbcb73f1",
+        id="500-before-forward-close",
+    ),
+    pytest.param(
+        500, "1" * 499 + "0" * 499 + "101", 100001,
+        "4b2d5ba58b2c21876a99370f7dd1401a085648c5d84c21e2b19c0b055e021455",
+        id="500-before-backward-close",
+    ),
+    pytest.param(
+        500, "1" + "10" * 249 + "0" + "10" * 250 + "0", 100001,
+        "d471d05e248a80ac92680d06f5cc06e0f53ca881e06939c5fa20cde5f0ded242",
+        id="500-pair-source",
+    ),
+    pytest.param(
+        500, "101" + "10" * 248 + "0" + "10" * 250 + "0", 100001,
+        "f57941bddf41ead1e79b581ed15ff7f009826c680d63b751e40452458eb10e10",
+        id="500-pair-partner",
+    ),
+    pytest.param(
+        500, "10" * 124 + "011" + "10" * 124 + "1" + "10" * 250 + "0", 100001,
+        "14d955f81ca54aa94696a871297e360660e2aa742cbf4b2b3e8e2be056a93e75",
+        id="500-partner-interior",
+    ),
+]
 
 # sha256 over "x canonical_root(x) flip\n" for every Dyck word, n = 1..10
 TREES_SHA256 = "d345d60227920b3f48a21a8cb7238a0150871f92cde30d465a55f107c26b685f"
@@ -50,13 +123,15 @@ def test_listing_digest(n):
     assert _sha256("\n".join(generate(n)) + "\n") == LISTING_SHA256[n]
 
 
-@pytest.mark.parametrize("n", sorted(DELTA_SHA256))
-def test_cli_delta_digest(n, monkeypatch):
+@pytest.mark.parametrize("n, start, count, digest", DELTA_SHA256)
+def test_cli_delta_digest(n, start, count, digest, monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
-    argv = ["gen", "-n", str(n), "--count", "1000001", "--format", "delta"]
+    argv = ["gen", "-n", str(n), "--count", str(count), "--format", "delta"]
+    if start is not None:
+        argv += ["--start", start]
     assert main(argv) == 0
-    assert _sha256(out.getvalue()) == DELTA_SHA256[n]
+    assert _sha256(out.getvalue()) == digest
 
 
 def test_canonical_root_and_flip_tree_digest():
