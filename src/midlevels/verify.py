@@ -1,10 +1,10 @@
 """Structural checks over full desk-scale listings.
 
 Everything here enumerates whole vertex sets or whole orbits, so it is
-exponential in n by design.  The caps below bound accidental blowups;
-they are defaults, not hard limits, and every entry point accepts an
-override.  Results come back as CheckResult rows that format as
-"CHECK <name> n=<n> PASS|FAIL <detail>".
+exponential in n by design.  Two fixed caps bound the sweeps: whole
+vertex sets up to n = FULL_GRAPH_CAP, plane-tree orbit graphs up to
+n = TREE_GRAPH_CAP; larger n raises ValueError.  Results come back as
+CheckResult rows that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .flipseq import (
     pair_source_sequence,
     pair_target_sequence,
 )
-from .hamcycle import GeneratorState, generate, total_vertices
-from .trees import canonical_root, is_flip_tree, pair_image, tree_from_dyck
+from .hamcycle import GeneratorState, total_vertices
+from .trees import _adjacency, canonical_root, is_flip_tree, pair_image, tree_from_dyck
 
 __all__ = [
     "FULL_GRAPH_CAP",
@@ -30,6 +30,7 @@ __all__ = [
     "check_listing",
     "CycleSet",
     "two_factor",
+    "check_two_factor",
     "plane_classes",
     "FlipGraph",
     "flip_graph",
@@ -37,13 +38,14 @@ __all__ = [
     "TreeSignature",
     "tree_signature",
     "check_edge_monotonicity",
+    "check_flip_graph",
     "check_six_cycles",
     "run_checks",
     "run_suite",
 ]
 
-# defaults for the exponential sweeps: full vertex sets up to n=9,
-# plane-tree orbit graphs up to n=12
+# the exponential sweeps: full vertex sets up to n=9, plane-tree orbit
+# graphs up to n=12
 FULL_GRAPH_CAP = 9
 TREE_GRAPH_CAP = 12
 
@@ -156,15 +158,13 @@ def _anchor(verts: list[str]) -> tuple[str, ...]:
     return tuple(verts[i:] + verts[:i])
 
 
-def two_factor(
-    n: int, flips_enabled: bool, *, cap: int = FULL_GRAPH_CAP
-) -> CycleSet:
+def two_factor(n: int, flips_enabled: bool) -> CycleSet:
     """Trace every cycle of the stepping rule over the whole vertex set.
 
     With flips disabled the rule decomposes the vertices into one cycle
     per plane tree; with flips enabled they merge into a single cycle.
     """
-    if not 1 <= n <= cap:
+    if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
     remaining = set(dyck_words(n))
     cycles: list[tuple[str, ...]] = []
@@ -187,6 +187,22 @@ def two_factor(
     return CycleSet(n, flips_enabled, tuple(cycles))
 
 
+def check_two_factor(plain: CycleSet, n_classes: int) -> list[CheckResult]:
+    """Rows for the flips-off cycles: n_classes cycles covering every
+    vertex, each a whole number of rounds of 4n+2 vertices."""
+    n = plain.n
+    total = sum(plain.lengths)
+    ok = plain.count == n_classes and total == total_vertices(n)
+    detail = f"{plain.count} cycles over {total} vertices"
+    round_len = 4 * n + 2
+    rounds_ok = all(length % round_len == 0 for length in plain.lengths)
+    rounds = f"all divisible by {round_len}" if rounds_ok else str(plain.lengths)
+    return [
+        CheckResult("two-factor-count", n, ok, detail),
+        CheckResult("two-factor-lengths", n, rounds_ok, rounds),
+    ]
+
+
 def plane_classes(n: int) -> dict[str, str]:
     """Map every Dyck word to its orbit's canonical encoding."""
     return {x: canonical_root(x) for x in dyck_words(n)}
@@ -202,8 +218,8 @@ class FlipGraph:
     edges: tuple[tuple[str, str], ...]
 
 
-def flip_graph(n: int, *, cap: int = TREE_GRAPH_CAP) -> FlipGraph:
-    if not 1 <= n <= cap:
+def flip_graph(n: int) -> FlipGraph:
+    if not 1 <= n <= TREE_GRAPH_CAP:
         raise ValueError("desk-scale only")
     classes = plane_classes(n)
     edges = sorted(
@@ -248,31 +264,20 @@ class TreeSignature:
 
 
 def tree_signature(x: str) -> TreeSignature:
-    t = tree_from_dyck(x)
-    size = t.size
-    deg = [len(c) for c in t.children]
-    for v in range(1, size):
-        deg[v] += 1
-    leaves = [v for v in range(size) if deg[v] == 1]
-    skeleton = {v for v in range(size) if deg[v] != 1}
-
-    def neighbors(v: int) -> list[int]:
-        out = list(t.children[v])
-        if v:
-            out.append(t.parent[v])  # type: ignore[arg-type]
-        return out
-
-    if not skeleton:
+    adj = _adjacency(tree_from_dyck(x))
+    deg = [len(a) for a in adj]
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    if len(leaves) == len(adj):
         # single edge: both ends are leaves, no interior at all
         return TreeSignature(len(leaves), 0, max(deg))
+    # the skeleton is the tree minus its leaves; a leaf is terminal when
+    # its one neighbour is a leaf of the skeleton
     skel_leaves = {
         v
-        for v in skeleton
-        if sum(1 for u in neighbors(v) if u in skeleton) <= 1
+        for v, a in enumerate(adj)
+        if deg[v] != 1 and sum(1 for u in a if deg[u] != 1) <= 1
     }
-    terminal = sum(
-        1 for v in leaves if any(u in skel_leaves for u in neighbors(v))
-    )
+    terminal = sum(1 for v in leaves if adj[v][0] in skel_leaves)
     return TreeSignature(len(leaves), len(leaves) - terminal, max(deg))
 
 
@@ -288,6 +293,19 @@ def check_edge_monotonicity(g: FlipGraph) -> CheckResult:
         a, b = bad[0]
         detail = f"{len(bad)} violations, first {a} -> {b}"
     return CheckResult("flip-graph-monotone", g.n, not bad, detail)
+
+
+def check_flip_graph(g: FlipGraph) -> list[CheckResult]:
+    """Rows for the flip graph: its arcs form a spanning tree of the
+    plane-tree classes, no class has two outgoing arcs, and signatures
+    increase along every arc."""
+    detail = f"{len(g.nodes)} nodes, {len(g.edges)} edges"
+    one_out = len({a for a, _ in g.edges}) == len(g.edges)
+    return [
+        CheckResult("flip-graph-tree", g.n, is_spanning_tree(g), detail),
+        CheckResult("flip-graph-outdegree", g.n, one_out),
+        check_edge_monotonicity(g),
+    ]
 
 
 def _path_edges(verts: list[str]) -> list[frozenset[str]]:
@@ -312,7 +330,7 @@ def _six_cycle(x: str) -> tuple[list[str], set[frozenset[str]]]:
     return verts, edges
 
 
-def check_six_cycles(n: int, *, cap: int = FULL_GRAPH_CAP) -> list[CheckResult]:
+def check_six_cycles(n: int) -> list[CheckResult]:
     """Validate the path surgery behind every pair.
 
     For each pair (x = 110w0v, y = 101w0v): the modified walks cover the
@@ -321,13 +339,12 @@ def check_six_cycles(n: int, *, cap: int = FULL_GRAPH_CAP) -> list[CheckResult]:
     the six-cycles are edge-disjoint, and on any one basic path the
     edges borrowed by different six-cycles never interleave.
     """
-    if not 1 <= n <= cap:
+    if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
     sources = [x for x in dyck_words(n) if x[:3] == "110"]
 
     endpoints_ok = True
     symdiff_ok = True
-    seen_edges: dict[frozenset[str], int] = {}
     disjoint_ok = True
     c6_of_edge: dict[frozenset[str], int] = {}
 
@@ -345,9 +362,8 @@ def check_six_cycles(n: int, *, cap: int = FULL_GRAPH_CAP) -> list[CheckResult]:
         if basic_edges ^ c6 != mod_edges:
             symdiff_ok = False
         for e in c6:
-            if e in seen_edges:
+            if e in c6_of_edge:
                 disjoint_ok = False
-            seen_edges[e] = idx
             c6_of_edge[e] = idx
 
     nesting_ok = True
@@ -373,55 +389,31 @@ def check_six_cycles(n: int, *, cap: int = FULL_GRAPH_CAP) -> list[CheckResult]:
     ]
 
 
-def run_checks(
-    n: int,
-    *,
-    full_cap: int = FULL_GRAPH_CAP,
-    tree_cap: int = TREE_GRAPH_CAP,
-) -> list[CheckResult]:
-    """All structural checks for one n."""
-    results = check_listing(n, generate(n))
+def run_checks(n: int) -> list[CheckResult]:
+    """All structural checks for one n, each fact derived once.
 
-    classes = plane_classes(n)
-    n_classes = len(set(classes.values()))
-    plain = two_factor(n, False, cap=full_cap)
-    ok = plain.count == n_classes and sum(plain.lengths) == total_vertices(n)
-    detail = f"{plain.count} cycles over {sum(plain.lengths)} vertices"
-    results.append(CheckResult("two-factor-count", n, ok, detail))
-    round_len = 4 * n + 2
-    ok = all(length % round_len == 0 for length in plain.lengths)
-    detail = f"all divisible by {round_len}" if ok else str(plain.lengths)
-    results.append(CheckResult("two-factor-lengths", n, ok, detail))
-
-    joined = two_factor(n, True, cap=full_cap)
+    The flips-on cycle is traced once, by two_factor; its one cycle is
+    both the listing behind the listing-* rows and the single-cycle
+    row.  The plane-tree classes are enumerated once, inside flip_graph,
+    and its node count is the number of flips-off cycles expected.
+    """
+    joined = two_factor(n, True)
+    results = check_listing(n, joined.cycles[0])
+    g = flip_graph(n)
+    results += check_two_factor(two_factor(n, False), len(g.nodes))
     ok = joined.count == 1 and joined.lengths == [total_vertices(n)]
     detail = f"{joined.count} cycle(s), lengths {joined.lengths}"
     results.append(CheckResult("single-cycle", n, ok, detail))
-
-    g = flip_graph(n, cap=tree_cap)
-    detail = f"{len(g.nodes)} nodes, {len(g.edges)} edges"
-    results.append(CheckResult("flip-graph-tree", g.n, is_spanning_tree(g), detail))
-    out_deg: dict[str, int] = {}
-    for a, _ in g.edges:
-        out_deg[a] = out_deg.get(a, 0) + 1
-    ok = all(d <= 1 for d in out_deg.values())
-    results.append(CheckResult("flip-graph-outdegree", n, ok))
-    results.append(check_edge_monotonicity(g))
-
-    results += check_six_cycles(n, cap=full_cap)
+    results += check_flip_graph(g)
+    results += check_six_cycles(n)
     return results
 
 
-def run_suite(
-    max_n: int = 6,
-    *,
-    full_cap: int = FULL_GRAPH_CAP,
-    tree_cap: int = TREE_GRAPH_CAP,
-) -> list[CheckResult]:
-    """All structural checks for n = 1 .. max_n."""
-    if not 1 <= max_n <= full_cap:
+def run_suite(max_n: int = 6) -> list[CheckResult]:
+    """All structural checks for n = 1 .. max_n, max_n <= FULL_GRAPH_CAP."""
+    if not 1 <= max_n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
     results: list[CheckResult] = []
     for n in range(1, max_n + 1):
-        results += run_checks(n, full_cap=full_cap, tree_cap=tree_cap)
+        results += run_checks(n)
     return results

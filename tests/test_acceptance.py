@@ -26,10 +26,10 @@ from midlevels.hamcycle import (
     total_vertices,
 )
 from midlevels.verify import (
-    check_edge_monotonicity,
+    check_flip_graph,
     check_six_cycles,
+    check_two_factor,
     flip_graph,
-    is_spanning_tree,
     two_factor,
 )
 
@@ -100,9 +100,8 @@ def test_c3_two_factor_structure():
         got[n] = cs.count
         if cs.count != want:
             ok = False
-        if sum(cs.lengths) != total_vertices(n):
-            ok = False
-        if any(length % (4 * n + 2) for length in cs.lengths):
+        # total length and round-sized cycles, as in the two-factor-* rows
+        if not all(r.passed for r in check_two_factor(cs, want)):
             ok = False
     _report(
         "two-factor-structure", ok,
@@ -120,14 +119,8 @@ def test_c4_orbit_graph_spanning_tree():
         g = flip_graph(n)
         nodes += len(g.nodes)
         edges += len(g.edges)
-        if not is_spanning_tree(g):
-            ok = False
-        out_deg: dict[str, int] = {}
-        for a, _ in g.edges:
-            out_deg[a] = out_deg.get(a, 0) + 1
-        if any(d > 1 for d in out_deg.values()):
-            ok = False
-        if not check_edge_monotonicity(g).passed:
+        # spanning tree, out-degree at most one, monotone signatures
+        if not all(r.passed for r in check_flip_graph(g)):
             ok = False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

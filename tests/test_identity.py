@@ -3,6 +3,8 @@
 The listing is fixed by the flip sequences, the flip-tree choice and the
 round structure; any refactor of those parts must leave these digests
 unchanged.  The CLI digests cover the exact bytes `midlevels gen` writes.
+The check-suite digest pins the rows `midlevels verify` prints: their
+names, order and details.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from midlevels.bitwords import dyck_words
 from midlevels.cli import main
 from midlevels.hamcycle import generate
 from midlevels.trees import canonical_root, is_flip_tree
+from midlevels.verify import format_check, run_suite
 
 # sha256 of "\n".join(generate(n)) + "\n", the bytes of `midlevels gen -n N`
 LISTING_SHA256 = {
@@ -113,6 +116,10 @@ DELTA_SHA256 = [
 # sha256 over "x canonical_root(x) flip\n" for every Dyck word, n = 1..10
 TREES_SHA256 = "d345d60227920b3f48a21a8cb7238a0150871f92cde30d465a55f107c26b685f"
 
+# sha256 of the rows of run_suite(6), one formatted line each: the bytes
+# of `midlevels verify --max-n 6`
+VERIFY_SHA256 = "4650778edf2313231523732f2da01f359eb83cd4cd24bbf340b6a096d0ad4a93"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -141,3 +148,8 @@ def test_canonical_root_and_flip_tree_digest():
             flip = int(x[:3] == "110" and is_flip_tree(x))
             h.update(f"{x} {canonical_root(x)} {flip}\n".encode())
     assert h.hexdigest() == TREES_SHA256
+
+
+def test_check_suite_digest():
+    text = "".join(format_check(r) + "\n" for r in run_suite(6))
+    assert _sha256(text) == VERIFY_SHA256

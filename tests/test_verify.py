@@ -5,10 +5,13 @@ import pytest
 from midlevels.hamcycle import generate, total_vertices
 from midlevels.verify import (
     CheckResult,
+    CycleSet,
     FlipGraph,
     check_edge_monotonicity,
+    check_flip_graph,
     check_listing,
     check_six_cycles,
+    check_two_factor,
     flip_graph,
     format_check,
     is_spanning_tree,
@@ -83,13 +86,20 @@ def test_two_factor_with_flips_is_one_cycle(n):
     assert cs.lengths == [total_vertices(n)]
 
 
+def test_two_factor_rows_flag_a_short_cycle():
+    a, b = two_factor(3, False).cycles
+    moved = CycleSet(3, False, (a[:-1], b + a[-1:]))
+    rows = _by_name(check_two_factor(moved, 2))
+    assert rows["two-factor-count"].passed  # same count, same total
+    assert not rows["two-factor-lengths"].passed
+    assert not _by_name(check_two_factor(moved, 3))["two-factor-count"].passed
+
+
 def test_two_factor_respects_the_cap():
     with pytest.raises(ValueError):
         two_factor(10, False)
     with pytest.raises(ValueError):
         two_factor(0, False)
-    # an explicit cap overrides the default
-    assert two_factor(3, False, cap=3).count == 2
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -102,12 +112,16 @@ def test_plane_classes_counts(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_flip_graph_is_a_spanning_tree(n):
     g = flip_graph(n)
-    assert is_spanning_tree(g)
     assert len(g.edges) == len(g.nodes) - 1
-    out_deg: dict[str, int] = {}
-    for a, _ in g.edges:
-        out_deg[a] = out_deg.get(a, 0) + 1
-    assert all(d <= 1 for d in out_deg.values())
+    assert all(r.passed for r in check_flip_graph(g))
+
+
+def test_flip_graph_rows_flag_two_arcs_out_of_one_class():
+    p, q, r = sorted(flip_graph(4).nodes)
+    star = FlipGraph(4, frozenset((p, q, r)), ((p, q), (p, r)))
+    rows = _by_name(check_flip_graph(star))
+    assert rows["flip-graph-tree"].passed
+    assert not rows["flip-graph-outdegree"].passed
 
 
 def test_flip_graph_respects_the_cap():
