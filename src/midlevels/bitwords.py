@@ -1,6 +1,8 @@
 """Bitstring and balanced-word primitives.
 
-Words are plain Python strings over the characters '0' and '1'.  Positions
+Words are plain Python strings over the characters '0' and '1'.  Any
+other character makes a word OTHER to `classify` and an error to the
+functions that match or split it; it is never read as a '0'.  Positions
 are 1-based throughout the package: position 1 is the leftmost character.
 This matches the flip sequences and the CLI delta output, which name
 positions, never array indices.
@@ -30,6 +32,7 @@ __all__ = [
     "dyck_words",
 ]
 
+_ZERO = ord("0")
 _ONE = ord("1")
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -65,8 +68,11 @@ def classify(x: str) -> WordClass:
     """Classify x as DYCK, NEAR_DYCK, or OTHER.
 
     The empty word counts as a Dyck word.  Unbalanced words, words of odd
-    length, and words with two or more below-zero prefixes are OTHER.
+    length, words with two or more below-zero prefixes, and words with a
+    character other than '0' and '1' are OTHER.
     """
+    if x.count("0") + x.count("1") != len(x):
+        return WordClass.OTHER
     height = 0
     dips = 0
     for c in x:
@@ -99,9 +105,12 @@ def build_match_table(x: str | bytes | bytearray) -> list[int]:
     Returns a table of length len(x)+1 where table[p] is the 1-based
     position paired with position p; index 0 is an unused sentinel.  The
     table of a word is reused unchanged for all nested subranges, so the
-    sequence emitters never rebuild it.
+    sequence emitters never rebuild it.  Raises ValueError unless x is a
+    Dyck word.
     """
     codes: bytes | bytearray = x.encode() if isinstance(x, str) else x
+    if codes.count(_ZERO) + codes.count(_ONE) != len(codes):
+        raise ValueError("not a binary word")
     match = [0] * (len(codes) + 1)
     stack: list[int] = []
     p = 0
@@ -142,6 +151,8 @@ def decompose_near_dyck(y: str) -> tuple[str, str]:
     The marked 0 is the unique step dipping below zero; u and v are Dyck
     words.
     """
+    if y.count("0") + y.count("1") != len(y):
+        raise ValueError("not a binary word")
     height = 0
     for i, c in enumerate(y):
         if c == "1":

@@ -1,83 +1,59 @@
-"""Rooted tree views of Dyck words and the cycle-joining predicate.
+"""Plane trees of Dyck words and the cycle-joining predicate.
 
 A Dyck word with n ones encodes an ordered rooted tree with n edges: a
-'1' opens an edge to a new leftmost child, the matching '0' closes it.
-Rotation moves the root to its first child without changing the embedded
-(plane) tree, so rotation orbits of words correspond to plane trees.
+'1' opens an edge to the current vertex's next child, the matching '0'
+closes it.  Rotation moves the root to its first child without changing
+the embedded (plane) tree, so rotation orbits of words correspond to
+plane trees.
 
-Internally a rooting is a (root, first child) pair on the tree's cyclic
-adjacency.  `canonical_root` picks one rooting per plane tree, anchored
-at the tree's center.  `is_flip_tree` marks, within each non-star orbit,
-exactly one word whose path the generator replaces by its modified
-variant; that single swap per orbit is what merges the short cycles
-into one.
+`_adjacency` reads a word once into its tree's cyclic adjacency, the one
+tree representation here; a rooting is a (root, first child) pair on it,
+and `_encode` writes a rooting back as a word.  `canonical_root` picks
+one rooting per plane tree, anchored at the tree's center.
+`is_flip_tree` marks, within each non-star orbit, exactly one word whose
+path the generator replaces by its modified variant; that single swap
+per orbit is what merges the short cycles into one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .bitwords import decompose_dyck, is_dyck_word
+from .bitwords import decompose_dyck
 
 __all__ = [
-    "RootedTree",
-    "tree_from_dyck",
-    "dyck_from_tree",
     "rotate",
     "rotation_orbit",
-    "centers",
     "booth_min_rotation",
     "canonical_root",
     "pair_image",
     "pair_preimage",
-    "TreeShape",
-    "tree_shape",
     "is_flip_tree",
 ]
 
 
-@dataclass
-class RootedTree:
-    """Ordered rooted tree.  Vertex ids are preorder numbers, root is 0."""
+def _adjacency(x: str) -> list[list[int]]:
+    """The cyclic adjacency of x's plane tree, built in one pass over x.
 
-    parent: list[int | None]
-    children: list[list[int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.parent)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.parent) - 1
-
-
-def tree_from_dyck(x: str) -> RootedTree:
-    """Decode a Dyck word into its ordered rooted tree."""
-    if not is_dyck_word(x):
-        raise ValueError("not a Dyck word")
-    parent: list[int | None] = [None]
-    children: list[list[int]] = [[]]
+    Vertex ids are preorder numbers and the root is 0.  Every other
+    vertex lists its parent first, then its children left to right: the
+    cyclic order around each vertex that rotation preserves.  Raises
+    ValueError unless x is a Dyck word.
+    """
+    adj: list[list[int]] = [[]]
     cur = 0
     for c in x:
         if c == "1":
-            v = len(parent)
-            parent.append(cur)
-            children.append([])
-            children[cur].append(v)
+            v = len(adj)
+            adj[cur].append(v)
+            adj.append([cur])
             cur = v
+        elif c == "0" and cur:
+            cur = adj[cur][0]
         else:
-            cur = parent[cur]  # type: ignore[assignment]
-    return RootedTree(parent, children)
-
-
-def _adjacency(t: RootedTree) -> list[list[int]]:
-    # parent first, then children: the cyclic order around each vertex
-    # that rotation preserves
-    adj: list[list[int]] = [list(t.children[0])]
-    for v in range(1, t.size):
-        adj.append([t.parent[v]] + t.children[v])  # type: ignore[operator]
+            raise ValueError("not a Dyck word")
+    if cur:
+        raise ValueError("not a Dyck word")
     return adj
 
 
@@ -105,13 +81,6 @@ def _encode(adj: list[list[int]], root: int, first: int) -> str:
         j = nxt.index(v)
         stack.append((w, iter(nxt[j + 1 :] + nxt[:j])))
     return "".join(out)
-
-
-def dyck_from_tree(t: RootedTree) -> str:
-    """Encode an ordered rooted tree back into its Dyck word."""
-    if not t.children[0]:
-        return ""
-    return _encode(_adjacency(t), 0, t.children[0][0])
 
 
 def rotate(x: str) -> str:
@@ -156,11 +125,6 @@ def _centers(adj: list[list[int]]) -> list[int]:
                     nxt.append(u)
         layer = nxt
     return sorted(layer)
-
-
-def centers(t: RootedTree) -> list[int]:
-    """The one or two center vertices of the underlying unrooted tree."""
-    return _centers(_adjacency(t))
 
 
 def booth_min_rotation(seq: Sequence[int]) -> int:
@@ -232,7 +196,7 @@ def canonical_root(x: str) -> str:
     """
     if not x:
         return ""
-    adj = _adjacency(tree_from_dyck(x))
+    adj = _adjacency(x)
     return _encode(adj, *_canonical_rooting(adj))
 
 
@@ -250,28 +214,13 @@ def pair_preimage(y: str) -> str:
     return "110" + y[3:]
 
 
-@dataclass(frozen=True)
-class TreeShape:
-    """Root-independent shape facts about a tree."""
-
-    is_star: bool
-    has_thin_leaf: bool
-
-
-def _shape(adj: list[list[int]]) -> TreeShape:
+def _shape(adj: list[list[int]]) -> tuple[bool, bool]:
+    """(is a star, has a thin leaf): a star has at most one non-leaf
+    vertex; a thin leaf is a leaf whose neighbour has degree two."""
     deg = [len(a) for a in adj]
     non_leaves = sum(1 for d in deg if d != 1)
     thin = any(d == 1 and deg[a[0]] == 2 for d, a in zip(deg, adj))
-    return TreeShape(non_leaves <= 1, thin)
-
-
-def tree_shape(x: str) -> TreeShape:
-    """Shape predicates of x's underlying unrooted tree.
-
-    A star has at most one non-leaf vertex; a thin leaf is a leaf whose
-    neighbor has degree two.
-    """
-    return _shape(_adjacency(tree_from_dyck(x)))
+    return non_leaves <= 1, thin
 
 
 def is_flip_tree(x: str) -> bool:
@@ -299,12 +248,11 @@ def is_flip_tree(x: str) -> bool:
         # prefix 1100 exhibits a thin leaf directly: the first branch
         # is a single edge hanging off a degree-two vertex
         thin = True
-    adj = _adjacency(tree_from_dyck(x))
-    if not thin:
-        shape = _shape(adj)
-        # a thin leaf would force the 1100 form, which x cannot match
-        if shape.is_star or shape.has_thin_leaf:
-            return False
+    adj = _adjacency(x)
+    # stars never qualify, and a thin leaf would force the 1100 form,
+    # which a broom-form x cannot match
+    if not thin and any(_shape(adj)):
+        return False
     root, first = _canonical_rooting(adj)
     for _ in range(len(x) + 1):
         nb = adj[first]

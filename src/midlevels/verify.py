@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby, pairwise
+from operator import ne
 
 from .bitwords import build_match_table, dyck_words
 from .flipseq import (
@@ -20,7 +22,7 @@ from .flipseq import (
     pair_target_sequence,
 )
 from .hamcycle import GeneratorState, total_vertices
-from .trees import _adjacency, canonical_root, is_flip_tree, pair_image, tree_from_dyck
+from .trees import _adjacency, canonical_root, is_flip_tree, pair_image
 
 __all__ = [
     "FULL_GRAPH_CAP",
@@ -72,13 +74,17 @@ def check_listing(n: int, listing: Iterable[str]) -> list[CheckResult]:
     also the cyclic closure back to the first vertex.
     """
     seq = list(listing)
+    # the set is freed before the weights list exists, which keeps the
+    # memory peak of a full listing down
+    dup = len(seq) - len(set(seq))
     size = 2 * n + 1
+    weights = [w.count("1") for w in seq]
     results: list[CheckResult] = []
 
     bad_shape = sum(
         1
-        for w in seq
-        if len(w) != size or w.strip("01") or w.count("1") not in (n, n + 1)
+        for w, k in zip(seq, weights)
+        if len(w) != size or w.count("0") + k != size or k not in (n, n + 1)
     )
     results.append(
         CheckResult(
@@ -89,13 +95,9 @@ def check_listing(n: int, listing: Iterable[str]) -> list[CheckResult]:
         )
     )
 
-    bad_steps = 0
-    bad_alt = 0
-    for a, b in zip(seq, seq[1:]):
-        if sum(1 for ca, cb in zip(a, b) if ca != cb) != 1:
-            bad_steps += 1
-        if abs(a.count("1") - b.count("1")) != 1:
-            bad_alt += 1
+    # sum(map(ne, a, b)) counts the positions where a and b differ
+    bad_steps = sum(1 for a, b in pairwise(seq) if sum(map(ne, a, b)) != 1)
+    bad_alt = sum(1 for j, k in pairwise(weights) if abs(j - k) != 1)
     results.append(
         CheckResult(
             "listing-steps",
@@ -113,7 +115,6 @@ def check_listing(n: int, listing: Iterable[str]) -> list[CheckResult]:
         )
     )
 
-    dup = len(seq) - len(set(seq))
     results.append(
         CheckResult(
             "listing-distinct", n, dup == 0, "" if not dup else f"{dup} duplicates"
@@ -121,9 +122,7 @@ def check_listing(n: int, listing: Iterable[str]) -> list[CheckResult]:
     )
 
     if len(seq) == total_vertices(n):
-        closes = (
-            sum(1 for ca, cb in zip(seq[-1], seq[0]) if ca != cb) == 1
-        )
+        closes = sum(map(ne, seq[-1], seq[0])) == 1
         results.append(
             CheckResult(
                 "listing-closure",
@@ -264,7 +263,7 @@ class TreeSignature:
 
 
 def tree_signature(x: str) -> TreeSignature:
-    adj = _adjacency(tree_from_dyck(x))
+    adj = _adjacency(x)
     deg = [len(a) for a in adj]
     leaves = [v for v, d in enumerate(deg) if d == 1]
     if len(leaves) == len(adj):
@@ -309,10 +308,10 @@ def check_flip_graph(g: FlipGraph) -> list[CheckResult]:
 
 
 def _path_edges(verts: list[str]) -> list[frozenset[str]]:
-    return [frozenset((a, b)) for a, b in zip(verts, verts[1:])]
+    return [frozenset(e) for e in pairwise(verts)]
 
 
-def _six_cycle(x: str) -> tuple[list[str], set[frozenset[str]]]:
+def _six_cycle(x: str) -> set[frozenset[str]]:
     # the six words agreeing with x = 110w0v outside positions 2, 3 and
     # the closer of position 1, in single-flip cyclic order
     b = build_match_table(x)[1]
@@ -326,8 +325,17 @@ def _six_cycle(x: str) -> tuple[list[str], set[frozenset[str]]]:
         ("1", "1", "0"),
     ]
     verts = ["1" + s2 + s3 + w + sb + v for s2, s3, sb in combos]
-    edges = {frozenset((verts[i], verts[(i + 1) % 6])) for i in range(6)}
-    return verts, edges
+    return {frozenset((verts[i], verts[(i + 1) % 6])) for i in range(6)}
+
+
+def _interleaved(
+    edges: list[frozenset[str]], c6_of_edge: dict[frozenset[str], int]
+) -> bool:
+    """Whether the edges two six-cycles borrow from one path interleave:
+    read in path order, some six-cycle's edges do not form one run."""
+    marks = (c for c in map(c6_of_edge.get, edges) if c is not None)
+    runs = [c for c, _ in groupby(marks)]
+    return len(set(runs)) != len(runs)
 
 
 def check_six_cycles(n: int) -> list[CheckResult]:
@@ -341,14 +349,22 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     """
     if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
-    sources = [x for x in dyck_words(n) if x[:3] == "110"]
-
-    endpoints_ok = True
-    symdiff_ok = True
+    words = list(dyck_words(n))
+    sources = [x for x in words if x[:3] == "110"]
+    cycles = [_six_cycle(x) for x in sources]
     disjoint_ok = True
     c6_of_edge: dict[frozenset[str], int] = {}
+    for idx, c6 in enumerate(cycles):
+        for e in c6:
+            if e in c6_of_edge:
+                disjoint_ok = False
+            c6_of_edge[e] = idx
 
-    for idx, x in enumerate(sources):
+    # each basic walk is built once and dropped after use: the pairs'
+    # walks in this loop, every other Dyck word's in the next; keeping
+    # them all for a separate nesting loop costs a third more memory
+    endpoints_ok = symdiff_ok = nesting_ok = True
+    for x, c6 in zip(sources, cycles):
         y = pair_image(x)
         basic_x = apply_flips(x, flip_sequence(x))
         basic_y = apply_flips(y, flip_sequence(y))
@@ -356,30 +372,17 @@ def check_six_cycles(n: int) -> list[CheckResult]:
         mod_y = apply_flips(y, pair_target_sequence(y))
         if mod_x[-1] != basic_y[-1] or mod_y[-1] != basic_x[-1]:
             endpoints_ok = False
-        _, c6 = _six_cycle(x)
-        basic_edges = set(_path_edges(basic_x)) | set(_path_edges(basic_y))
-        mod_edges = set(_path_edges(mod_x)) | set(_path_edges(mod_y))
-        if basic_edges ^ c6 != mod_edges:
+        edges_x, edges_y = _path_edges(basic_x), _path_edges(basic_y)
+        mod_edges = {*_path_edges(mod_x), *_path_edges(mod_y)}
+        if {*edges_x, *edges_y} ^ c6 != mod_edges:
             symdiff_ok = False
-        for e in c6:
-            if e in c6_of_edge:
-                disjoint_ok = False
-            c6_of_edge[e] = idx
-
-    nesting_ok = True
-    for z in dyck_words(n):
-        edges = _path_edges(apply_flips(z, flip_sequence(z)))
-        spans: dict[int, list[int]] = {}
-        for i, e in enumerate(edges):
-            c = c6_of_edge.get(e)
-            if c is not None:
-                spans.setdefault(c, []).append(i)
-        ids = list(spans)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                a, b2 = spans[ids[i]], spans[ids[j]]
-                if not (max(a) < min(b2) or max(b2) < min(a)):
-                    nesting_ok = False
+        if _interleaved(edges_x, c6_of_edge) or _interleaved(edges_y, c6_of_edge):
+            nesting_ok = False
+    for z in words:
+        if z[:3] not in ("110", "101"):
+            edges = _path_edges(apply_flips(z, flip_sequence(z)))
+            if _interleaved(edges, c6_of_edge):
+                nesting_ok = False
 
     return [
         CheckResult("six-cycle-endpoints", n, endpoints_ok, f"{len(sources)} pairs"),

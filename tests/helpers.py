@@ -72,13 +72,31 @@ def brute_min_rotation(seq) -> int:
     return min(rots)[1]
 
 
-def brute_centers(parent: list, children: list) -> list[int]:
+def adjacency_from_word(x: str) -> list[list[int]]:
+    """The unrooted tree of a Dyck word, rebuilt with an explicit stack.
+
+    Vertices are numbered in preorder and the root is 0; each vertex
+    lists its parent first, then its children in order.
+    """
+    parent: list[int | None] = [None]
+    stack = [0]
+    for c in x:
+        if c == "1":
+            v = len(parent)
+            parent.append(stack[-1])
+            stack.append(v)
+        else:
+            stack.pop()
+    adj: list[list[int]] = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        adj[v].append(parent[v])  # type: ignore[arg-type]
+        adj[parent[v]].append(v)  # type: ignore[index]
+    return adj
+
+
+def brute_centers(adj: list[list[int]]) -> list[int]:
     """Center vertices by computing every eccentricity with BFS."""
-    size = len(parent)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for v in range(1, size):
-        adj[parent[v]].append(v)
-        adj[v].append(parent[v])
+    size = len(adj)
 
     def ecc(s: int) -> int:
         dist = {s: 0}

@@ -84,6 +84,10 @@ def test_classify_edge_cases():
     assert classify("0110") is WordClass.NEAR_DYCK
     assert classify("0011") is WordClass.OTHER  # dips twice
     assert classify("1") is WordClass.OTHER
+    # characters other than 0 and 1 are never read as either
+    for w in ["1a", "1 ", "a1", "1a10", "0a"]:
+        assert classify(w) is WordClass.OTHER
+    assert not is_dyck_word("1a")
 
 
 def test_predicates_agree_with_classify():
@@ -132,7 +136,9 @@ def test_match_table_accepts_byte_views():
     assert build_match_table(bytearray(x.encode())) == want
 
 
-@pytest.mark.parametrize("bad", ["1", "0", "01", "1101", "100"])
+@pytest.mark.parametrize(
+    "bad", ["1", "0", "01", "1101", "100", "1x", "1a10", b"1y"]
+)
 def test_match_table_rejects_unbalanced(bad):
     with pytest.raises(ValueError):
         build_match_table(bad)
@@ -162,6 +168,6 @@ def test_decompose_near_dyck_roundtrip(n):
 
 
 def test_decompose_near_dyck_rejects_other_classes():
-    for w in ["", "1100", "0011", "10", "111000"]:
+    for w in ["", "1100", "0011", "10", "111000", "a1", "1a01", "01a"]:
         with pytest.raises(ValueError):
             decompose_near_dyck(w)

@@ -7,59 +7,50 @@ import pytest
 
 from midlevels.bitwords import dyck_words
 from midlevels.trees import (
+    _adjacency,
+    _centers,
+    _encode,
+    _shape,
     booth_min_rotation,
     canonical_root,
-    centers,
-    dyck_from_tree,
     is_flip_tree,
     pair_image,
     pair_preimage,
     rotate,
     rotation_orbit,
-    tree_from_dyck,
-    tree_shape,
 )
 
-from helpers import brute_centers, brute_min_rotation
+from helpers import adjacency_from_word, brute_centers, brute_min_rotation
 
 # plane trees with n edges, n = 1..8
 PLANE_TREE_COUNTS = [1, 1, 2, 3, 6, 14, 34, 95]
 
 
-def _adjacency_from_word(x: str) -> list[list[int]]:
-    # independent reconstruction of the unrooted tree
-    parent: list[int | None] = [None]
-    stack = [0]
-    for c in x:
-        if c == "1":
-            v = len(parent)
-            parent.append(stack[-1])
-            stack.append(v)
-        else:
-            stack.pop()
-    adj: list[list[int]] = [[] for _ in parent]
-    for v in range(1, len(parent)):
-        adj[v].append(parent[v])  # type: ignore[arg-type]
-        adj[parent[v]].append(v)  # type: ignore[index]
-    return adj
+def _is_star(adj: list[list[int]]) -> bool:
+    # at most one vertex that is not a leaf
+    return sum(1 for a in adj if len(a) != 1) <= 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tree_roundtrip(n):
     for x in dyck_words(n):
-        assert dyck_from_tree(tree_from_dyck(x)) == x
+        adj = _adjacency(x)
+        assert adj == adjacency_from_word(x)
+        assert _encode(adj, 0, adj[0][0]) == x
 
 
-def test_tree_from_dyck_rejects_non_dyck():
-    for bad in ["01", "1010101", "0011", "1"]:
+def test_adjacency_rejects_non_dyck():
+    for bad in ["01", "1010101", "0011", "1", "1a", "1 0", "1a10"]:
         with pytest.raises(ValueError):
-            tree_from_dyck(bad)
+            _adjacency(bad)
+        with pytest.raises(ValueError):
+            canonical_root(bad)
 
 
 def test_tree_counts():
-    t = tree_from_dyck("110100")
-    assert t.size == 4
-    assert t.n_edges == 3
+    adj = _adjacency("110100")
+    assert len(adj) == 4  # vertices
+    assert sum(map(len, adj)) == 2 * 3  # each of the 3 edges twice
 
 
 def test_rotate():
@@ -112,8 +103,7 @@ def test_booth_rejects_empty():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_centers_against_eccentricity_oracle(n):
     for x in dyck_words(n):
-        t = tree_from_dyck(x)
-        assert centers(t) == brute_centers(t.parent, t.children)
+        assert _centers(_adjacency(x)) == brute_centers(adjacency_from_word(x))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -153,14 +143,11 @@ def test_pair_maps():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tree_shape_against_degree_oracle(n):
     for x in dyck_words(n):
-        adj = _adjacency_from_word(x)
-        non_leaves = sum(1 for a in adj if len(a) != 1)
+        adj = adjacency_from_word(x)
         thin = any(
             len(a) == 1 and len(adj[a[0]]) == 2 for a in adj
         )
-        shape = tree_shape(x)
-        assert shape.is_star == (non_leaves <= 1)
-        assert shape.has_thin_leaf == thin
+        assert _shape(_adjacency(x)) == (_is_star(adj), thin)
 
 
 def test_is_flip_tree_examples():
@@ -183,7 +170,7 @@ def test_one_flip_tree_per_non_star_orbit(n):
         hits = [
             w for w in orbit if w.startswith("110") and is_flip_tree(w)
         ]
-        if tree_shape(x).is_star:
+        if _is_star(adjacency_from_word(x)):
             assert hits == []
         else:
             assert len(hits) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from midlevels.hamcycle import generate, total_vertices
 from midlevels.verify import (
+    _interleaved,
     CheckResult,
     CycleSet,
     FlipGraph,
@@ -175,6 +176,15 @@ def test_edge_monotonicity_detects_a_reversed_arc():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_six_cycle_checks(n):
     assert all(r.passed for r in check_six_cycles(n))
+
+
+def test_interleaved_six_cycle_edges_are_flagged():
+    # edges a..e of one path; c6 maps the borrowed ones to their cycle
+    path = ["a", "b", "c", "d", "e"]
+    assert not _interleaved(path, {"a": 0, "b": 0, "d": 1})
+    assert not _interleaved(path, {"b": 2, "c": 2, "e": 2})
+    assert _interleaved(path, {"a": 0, "c": 1, "e": 0})
+    assert _interleaved(path, {"a": 0, "b": 1, "c": 0, "d": 1})
 
 
 def test_six_cycle_cap():
