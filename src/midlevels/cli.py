@@ -118,16 +118,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    buf = state.buffer
     with _piped_stdout() as out:
         out.write(state.vertex() + "\n")
         if args.format == "bits":
-            for _ in range(count - 1):
-                next(state)
-                out.write(state.vertex() + "\n")
+            for part in state._passes(count - 1):
+                for p in part:
+                    buf[p] ^= 1
+                    out.write(buf[1:].decode() + "\n")
         else:
-            for _ in range(count - 1):
-                next(state)
-                out.write(f"{state.last_flip}\n")
+            # one write per pass; the buffer still follows the walk,
+            # because each pass is built from the vertex it starts at
+            for part in state._passes(count - 1):
+                for p in part:
+                    buf[p] ^= 1
+                out.write("\n".join(map(str, part)) + "\n")
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitwords import build_match_table, decompose_dyck
+from .bitwords import decompose_dyck
 
 __all__ = [
     "flip_sequence",
@@ -27,54 +27,53 @@ __all__ = [
     "last_vertex",
 ]
 
+_ZERO = ord("0")
+_ONE = ord("1")
 
-def _emit_nested(
-    match: Sequence[int], lo: int, hi: int, out: list[int]
-) -> None:
-    """Append the flip positions for the balanced range [lo, hi].
 
-    Iterative with an explicit work stack: the nesting depth of the input
-    is unbounded, and the generator feeds words far deeper than the
-    interpreter's recursion limit.  A frame (a, hi, resumed) covers the
-    run starting at position a; it is revisited once its inner content
-    has been emitted.
+def _run_flips(x: str | bytes | bytearray, start: int) -> list[int]:
+    """Flip positions of the balanced run a..b that opens at a = start.
+
+    The list is [b, a], then one pair per position p inside the run, in
+    order: (q, p) if p opens a nested run closing at q, and (q - 1, p) if
+    p closes one opened at q.  One scan builds it, an opening leaving a
+    slot for its closing position to fill, so no match table is needed
+    and nothing after b is read.  Raises ValueError if position start
+    holds no 1, the run does not close, or it holds a character other
+    than '0' and '1'.
     """
-    if lo > hi:
-        return
-    stack = [(lo, hi, False)]
-    append = out.append
-    push = stack.append
-    while stack:
-        a, h, resumed = stack.pop()
-        b = match[a]
-        if not resumed:
-            append(b)
-            append(a)
-            push((a, h, True))
-            if a + 1 <= b - 1:
-                push((a + 1, b - 1, False))
+    codes = x.encode() if isinstance(x, str) else x
+    out: list[int] = []
+    put = out.append
+    slots: list[int] = []
+    for p, c in enumerate(codes[start - 1 :], start):
+        if c == _ONE:
+            slots.append(len(out))
+            put(0)
+            put(p)
+        elif c == _ZERO and slots:
+            i = slots.pop()
+            out[i] = p
+            if not slots:
+                return out
+            put(out[i + 1] - 1)
+            put(p)
         else:
-            append(a - 1)
-            append(b)
-            if b + 1 <= h:
-                push((b + 1, h, False))
+            break
+    raise ValueError("no balanced run at this position")
 
 
-def flip_sequence(
-    x: str, match: Sequence[int] | None = None
-) -> list[int]:
+def flip_sequence(x: str | bytes | bytearray) -> list[int]:
     """Flip positions walking the path that starts at Dyck word x.
 
     The sequence has length 2|u|+2 for x = 1u0v and never touches the
-    suffix v.  Raises on empty or unbalanced input.
+    suffix v, which is not read either: any word that starts with the
+    run 1u0 gives the same sequence.  Raises on empty input and on a
+    first run that does not close.
     """
     if not x:
         raise ValueError("empty word")
-    if match is None:
-        match = build_match_table(x)
-    out = [match[1], 1]
-    _emit_nested(match, 2, match[1] - 1, out)
-    return out
+    return _run_flips(x, 1)
 
 
 def pair_source_sequence(x: str) -> list[int]:
@@ -88,22 +87,17 @@ def pair_source_sequence(x: str) -> list[int]:
     return [3, 1]
 
 
-def pair_target_sequence(
-    y: str, match: Sequence[int] | None = None
-) -> list[int]:
+def pair_target_sequence(y: str) -> list[int]:
     """Modified flip positions for the target y = 101w0v of a pair.
 
     Mirrors the source rule: the walk from y covers the vertices the
     source's basic path would have covered, ending at its endpoint.
+    Only the prefix 101w0 is read.
     """
     if y[:3] != "101":
         raise ValueError("not in tau image")
-    if match is None:
-        match = build_match_table(y)
-    b = match[3]
-    out = [b, 1, 2, 3, 1, 2]
-    _emit_nested(match, 4, b - 1, out)
-    return out
+    run = _run_flips(y, 3)
+    return [run[0], 1, 2, 3, 1, 2] + run[2:]
 
 
 def apply_flips(x: str, seq: Sequence[int]) -> list[str]:

@@ -10,7 +10,9 @@ Each pass is one list of flip positions whose final entry, 2n+1, is that
 closing flip, so the top bit just written says which pass comes next.
 Pass boundaries are the only points where any O(n) bookkeeping happens,
 so the amortized cost per visit is constant and the working set stays
-O(n).
+O(n).  The package's own drivers take the walk a pass at a time, as flip
+lists to apply to the buffer; the public cursor steps one vertex per
+call.
 
 `GeneratorState` can start at any vertex: the constructor finds the
 pass that owns the start vertex, builds it as a boundary would, and
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from math import comb
 
-from .bitwords import rev_complement, decompose_near_dyck
+from .bitwords import rev_complement
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .trees import is_flip_tree, pair_image, pair_preimage
 
@@ -37,6 +39,8 @@ __all__ = [
     "total_vertices",
     "default_start",
 ]
+
+_COMPLEMENT = bytes.maketrans(b"01", b"10")
 
 
 def total_vertices(n: int) -> int:
@@ -235,22 +239,49 @@ class GeneratorState:
         self._last = p
         k += 1
         if k == len(seq):
-            # the closing flip: the top bit it wrote picks the next pass
-            if buf[p] == 49:
-                self._start_backward()
-            else:
-                self._start_forward()
+            self._next_pass()
         else:
             self._k = k
         self.i += 1
         return buf
 
+    def _passes(self, steps: int) -> Iterator[list[int]]:
+        """Yield the flip lists of the next steps steps, a pass at a time.
+
+        The first list runs from the cursor to the end of its pass, each
+        later one is a whole pass, and the last is cut where the steps
+        end.  The consumer applies each list to the buffer before asking
+        for the next one, because the next pass is built from the vertex
+        the list leads to.  The cursor's own fields (i, last_flip,
+        at_first_vertex) are not advanced, so a driver that takes the walk
+        this way does not also step the state.
+        """
+        seq = self._seq[self._k :]
+        while len(seq) < steps:
+            yield seq
+            steps -= len(seq)
+            self._next_pass()
+            seq = self._seq
+        if steps > 0:
+            yield seq[:steps]
+
+    def _next_pass(self) -> None:
+        # the closing flip just done set the top bit, which picks the pass
+        if self._buf[-1] == 49:
+            self._start_backward()
+        else:
+            self._start_forward()
+
     def _start_backward(self) -> None:
-        u, v = decompose_near_dyck(self._buf[1 : 2 * self.n + 1].decode())
-        self._backward_pass("1" + rev_complement(v) + "0" + rev_complement(u))
+        # The buffer holds the near-Dyck word y = u01v, and the pass mirrors
+        # the basic path from g = 1 rc(v) 0 rc(u), with rc the reverse
+        # complement.  That path depends only on g's first run 1 rc(v) 0,
+        # which "1" + rc(y) = 1 rc(v) 01 rc(u) shares: so the run is read
+        # off the buffer from the right, as far as the 1 of y's "01".
+        self._backward_pass(b"1" + self._buf[-2:0:-1].translate(_COMPLEMENT))
 
     def _start_forward(self) -> None:
-        self._forward_pass(self._buf[1 : 2 * self.n + 1].decode())
+        self._forward_pass(self._buf[1:-1].decode())
 
     def _forward_pass(self, y: str, at: str | None = None) -> None:
         """Enter the forward pass from y + '0' at vertex at (default: its
@@ -260,9 +291,10 @@ class GeneratorState:
         self._seq = seq
         self._k = 0 if at is None else _locate(y + "0", seq, at)
 
-    def _backward_pass(self, g: str, at: str | None = None) -> None:
+    def _backward_pass(self, g: str | bytes, at: str | None = None) -> None:
         """Enter the backward pass that mirrors the basic path from g, at
-        vertex at (default: its first vertex)."""
+        vertex at (default: its first vertex).  Only g's first run is
+        read, as flip_sequence reads it."""
         size = 2 * self.n + 1
         s = flip_sequence(g)
         self._seq = [size - q for q in reversed(s)]
@@ -322,10 +354,12 @@ def ham_cycle(
     if count < 1:
         raise ValueError("count must be at least 1")
     state = GeneratorState(n, x, flips)
-    sink(state.buffer)
-    advance = state.__next__
-    for _ in range(count - 1):
-        sink(advance())
+    buf = state.buffer
+    sink(buf)
+    for part in state._passes(count - 1):
+        for p in part:
+            buf[p] ^= 1
+            sink(buf)
 
 
 def generate(
@@ -340,7 +374,9 @@ def generate(
     if count < 1:
         raise ValueError("count must be at least 1")
     state = GeneratorState(n, start, flips)
-    yield state.vertex()
-    for _ in range(count - 1):
-        next(state)
-        yield state.vertex()
+    buf = state.buffer
+    yield buf[1:].decode()
+    for part in state._passes(count - 1):
+        for p in part:
+            buf[p] ^= 1
+            yield buf[1:].decode()

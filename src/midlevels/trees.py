@@ -6,20 +6,26 @@ closes it.  Rotation moves the root to its first child without changing
 the embedded (plane) tree, so rotation orbits of words correspond to
 plane trees.
 
-`_adjacency` reads a word once into its tree's cyclic adjacency, the one
+`_tree` reads a word once into its tree's cyclic adjacency, the one
 tree representation here; a rooting is a (root, first child) pair on it,
 and `_encode` writes a rooting back as a word.  `canonical_root` picks
 one rooting per plane tree, anchored at the tree's center.
 `is_flip_tree` marks, within each non-star orbit, exactly one word whose
 path the generator replaces by its modified variant; that single swap
 per orbit is what merges the short cycles into one.
+
+Reading x walks the tree's Euler tour: position i of x (0-based) is one
+step along a directed edge (u, w), and rotate^i(x) is the word of the
+rooting (u, w).  So rotations of x are tour positions, and two positions
+give the same word iff they differ by a multiple of the tree's
+rotational period, the least p > 0 with rotate^p(x) == x.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitwords import decompose_dyck
+from .bitwords import decompose_dyck, is_dyck_word
 
 __all__ = [
     "rotate",
@@ -32,29 +38,50 @@ __all__ = [
 ]
 
 
-def _adjacency(x: str) -> list[list[int]]:
-    """The cyclic adjacency of x's plane tree, built in one pass over x.
+_Tree = tuple[list[list[int]], list[int], list[int]]
 
-    Vertex ids are preorder numbers and the root is 0.  Every other
-    vertex lists its parent first, then its children left to right: the
-    cyclic order around each vertex that rotation preserves.  Raises
-    ValueError unless x is a Dyck word.
+
+def _tree(x: str) -> _Tree:
+    """x's plane tree as (adj, opens, closes), built in one pass over x.
+
+    adj is the cyclic adjacency.  Vertex ids are preorder numbers and the
+    root is 0.  Every other vertex lists its parent first, then its
+    children left to right: the cyclic order around each vertex that
+    rotation preserves.  opens[v] and closes[v] are the positions in x
+    of the '1' that steps down to vertex v and the '0' that steps back
+    up (-1 for the root).  Raises ValueError unless x is a Dyck word.
     """
     adj: list[list[int]] = [[]]
+    opens = [-1]
+    closes = [-1]
     cur = 0
-    for c in x:
+    for i, c in enumerate(x):
         if c == "1":
             v = len(adj)
             adj[cur].append(v)
             adj.append([cur])
+            opens.append(i)
+            closes.append(-1)
             cur = v
         elif c == "0" and cur:
+            closes[cur] = i
             cur = adj[cur][0]
         else:
             raise ValueError("not a Dyck word")
     if cur:
         raise ValueError("not a Dyck word")
-    return adj
+    return adj, opens, closes
+
+
+def _adjacency(x: str) -> list[list[int]]:
+    """The cyclic adjacency of x's plane tree (see `_tree`)."""
+    return _tree(x)[0]
+
+
+def _corner(tree: _Tree, u: int, w: int) -> int:
+    """Tour position of the rooting (u, w): where x steps from u to w."""
+    adj, opens, closes = tree
+    return opens[w] if w and adj[w][0] == u else closes[u]
 
 
 def _encode(adj: list[list[int]], root: int, first: int) -> str:
@@ -131,8 +158,8 @@ def booth_min_rotation(seq: Sequence[int]) -> int:
     """1-based start index of the lexicographically least rotation.
 
     Failure-function variant, linear time; ties resolve to the smallest
-    index.  Works for any comparable symbols, in particular the -1/0/1
-    streams used to canonicalize center-rooted trees.
+    index.  Works for any comparable symbols, in particular the branch
+    words used to canonicalize center-rooted trees.
     """
     s = list(seq)
     n = len(s)
@@ -157,32 +184,46 @@ def booth_min_rotation(seq: Sequence[int]) -> int:
     return k + 1
 
 
-def _canonical_rooting(adj: list[list[int]]) -> tuple[int, int]:
-    """The (root, first child) pair whose encoding is `canonical_root`."""
+def _canonical_rooting(x: str, tree: _Tree) -> tuple[int, int, int]:
+    """(root, first, period): the rooting whose word is `canonical_root`,
+    and the tree's rotational period.
+
+    Both are read off x relabelled as seen from a center c: a step is a
+    '1' iff it leads away from c, so only the steps along the path from
+    x's root to c change.  With two centers a and b, the words of (a, b)
+    and (b, a) are compared.  With one, c's branches, each the run of
+    steps from leaving c to coming back, are rotated to their least
+    order by Booth's algorithm; comparing branch words as strings orders
+    the rotations as comparing their whole words does.
+    """
+    adj, opens, closes = tree
     cs = _centers(adj)
-    if len(cs) == 2:
-        a, b = cs
-        return (a, b) if _encode(adj, a, b) <= _encode(adj, b, a) else (b, a)
     c = cs[0]
-    seq: list[int] = []
-    starts: list[int] = []
-    depth = 0
-    for ch in _encode(adj, c, adj[c][0]):
-        if depth == 0:
-            # the '1' opening the next branch of c
-            starts.append(len(seq))
-            seq.append(-1)
-            depth = 1
-        elif ch == "1":
-            seq.append(1)
-            depth += 1
-        else:
-            depth -= 1
-            if depth:
-                seq.append(0)
-    k = booth_min_rotation(seq) - 1
-    # -1 is the least symbol, so the least rotation starts at a branch
-    return c, adj[c][starts.index(k)]
+    lab = bytearray(x, "ascii")
+    v = c
+    while v:
+        lab[opens[v]] ^= 1  # '0' <-> '1'
+        lab[closes[v]] ^= 1
+        v = adj[v][0]
+    m = len(x)
+    if len(cs) == 2:
+        b = cs[1]
+        i, j = _corner(tree, c, b), _corner(tree, b, c)
+        # the word of (c, b) is 1 T_b 0 T_c, that of (b, c) is 1 T_c 0 T_b
+        s = lab[i:] + lab[:i]
+        h = (j - i) % m
+        t = s[:1] + s[h + 1 :] + s[h : h + 1] + s[1:h]
+        if s == t:
+            return c, b, m // 2
+        return (c, b, m) if s < t else (b, c, m)
+    # c's neighbours in the order x leaves c towards them
+    nbs = adj[c][1:] + adj[c][:1] if c else adj[c]
+    starts = [_corner(tree, c, w) for w in nbs]
+    ends = starts[1:] + [starts[0] + m]
+    lab2 = lab + lab
+    k = booth_min_rotation([lab2[a:e] for a, e in zip(starts, ends)]) - 1
+    s = bytes(lab)
+    return c, nbs[k], (s + s).find(s, 1)
 
 
 def canonical_root(x: str) -> str:
@@ -196,8 +237,9 @@ def canonical_root(x: str) -> str:
     """
     if not x:
         return ""
-    adj = _adjacency(x)
-    return _encode(adj, *_canonical_rooting(adj))
+    tree = _tree(x)
+    root, first, _ = _canonical_rooting(x, tree)
+    return _encode(tree[0], root, first)
 
 
 def pair_image(x: str) -> str:
@@ -218,57 +260,69 @@ def _shape(adj: list[list[int]]) -> tuple[bool, bool]:
     """(is a star, has a thin leaf): a star has at most one non-leaf
     vertex; a thin leaf is a leaf whose neighbour has degree two."""
     deg = [len(a) for a in adj]
-    non_leaves = sum(1 for d in deg if d != 1)
-    thin = any(d == 1 and deg[a[0]] == 2 for d, a in zip(deg, adj))
-    return non_leaves <= 1, thin
+    thin = any(deg[a[0]] == 2 for a in adj if len(a) == 1)
+    return len(deg) - deg.count(1) <= 1, thin
 
 
 def is_flip_tree(x: str) -> bool:
     """Whether x is its orbit's designated cycle-joining word.
 
-    Exactly one word per non-star plane tree answers True.  The test
-    rotates the canonical rooting step by step on the tree's static
-    adjacency until the first rotation exposing either a thin leaf as
-    1100v, or, for trees without thin leaves, a leftmost broom as
-    1(10)^k 0 v with k >= 2; x qualifies iff it equals that rotation,
-    and in the broom case the remainder v = (10)^l must have l >= k.
-    Stars never qualify.  Raises if x is not a pair source.
+    Exactly one word per non-star plane tree answers True.  The chosen
+    rotation is found by rotating the canonical rooting step by step
+    until the first rotation exposing either a thin leaf as 1100v, or,
+    for trees without thin leaves, a leftmost broom as 1(10)^k 0 v with
+    k >= 2; x qualifies iff it equals that rotation, and in the broom
+    case the remainder v = (10)^l must have l >= k.  Stars never
+    qualify.  Raises ValueError unless x is a Dyck word, and then unless
+    x is a pair source.
+
+    Rotations are tour positions (see the module docstring), so the test
+    lists the positions whose rotation has x's form, takes the first at
+    or after the canonical rooting's, and compares it with x's own
+    position 0 modulo the rotational period.
     """
-    if x[:3] != "110":
-        raise ValueError("not in tau domain")
     # Qualifying words start 1100 (thin-leaf form) or 11010 (broom
     # form); any other prefix loses without building a tree.
-    if x[3] == "1":
-        if x[4] == "1":
-            return False
-        thin = False
-    elif len(x) == 4:
-        return False  # the lone two-edge tree is a star
-    else:
-        # prefix 1100 exhibits a thin leaf directly: the first branch
-        # is a single edge hanging off a degree-two vertex
-        thin = True
-    adj = _adjacency(x)
-    # stars never qualify, and a thin leaf would force the 1100 form,
-    # which a broom-form x cannot match
-    if not thin and any(_shape(adj)):
+    if x[:3] != "110" or x[3:5] == "11" or x == "1100":
+        if not is_dyck_word(x):
+            raise ValueError("not a Dyck word")
+        if x[:3] != "110":
+            raise ValueError("not in tau domain")
         return False
-    root, first = _canonical_rooting(adj)
-    for _ in range(len(x) + 1):
-        nb = adj[first]
-        if thin:
-            if len(nb) == 2:
-                leaf = nb[1] if nb[0] == root else nb[0]
-                if len(adj[leaf]) == 1:
-                    return _encode(adj, root, first) == x
-        elif len(nb) >= 3 and all(len(adj[c]) == 1 for c in nb if c != root):
-            rest = adj[root]
-            if len(rest) < len(nb) and all(
-                len(adj[c]) == 1 for c in rest if c != first
-            ):
-                return False
-            return _encode(adj, root, first) == x
-        # rotate: first becomes the root, and its neighbour after the
-        # old root becomes the new first child
-        root, first = first, nb[(nb.index(root) + 1) % len(nb)]
-    raise RuntimeError("no rotation of the canonical rooting matches")
+    tree = _tree(x)
+    adj = tree[0]
+    deg = [len(a) for a in adj]
+    forms: list[int] = []
+    if x[3] == "0":
+        # one rotation of the thin-leaf form per thin leaf: rooted at the
+        # other neighbour of the leaf's degree-two neighbour f
+        for leaf, nb in enumerate(adj):
+            f = nb[0]
+            if len(nb) == 1 and deg[f] == 2:
+                a, b = adj[f]
+                forms.append(_corner(tree, b if a == leaf else a, f))
+    else:
+        # stars never qualify, and a thin leaf would force the 1100 form
+        if any(_shape(adj)):
+            return False
+        # x's own rotation must be a broom: vertex 1's children all leaves
+        if any(deg[w] != 1 for w in adj[1][1:]):
+            return False
+        # the remainder rule; it holds for the chosen rotation iff it
+        # holds for x whenever x is that rotation
+        if deg[0] < deg[1] and all(deg[w] == 1 for w in adj[0][1:]):
+            return False
+        # one rotation of the broom form per vertex f of degree at least
+        # three whose only non-leaf neighbour g is the root
+        for f, nb in enumerate(adj):
+            if len(nb) >= 3:
+                inner = [g for g in nb if deg[g] != 1]
+                if len(inner) == 1:
+                    forms.append(_corner(tree, inner[0], f))
+    if len(forms) == 1:
+        return True  # the one rotation of x's form is x's own
+    root, first, period = _canonical_rooting(x, tree)
+    start = _corner(tree, root, first)
+    m = len(x)
+    chosen = min(forms, key=lambda q: (q - start) % m)
+    return chosen % period == 0

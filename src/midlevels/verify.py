@@ -172,15 +172,21 @@ def two_factor(n: int, flips_enabled: bool) -> CycleSet:
         start = z + "0"
         remaining.discard(z)
         state = GeneratorState(n, start, flips_enabled)
+        buf = state.buffer
         verts = [start]
-        while True:
-            next(state)
-            v = state.vertex()
-            if state.at_first_vertex:
-                if v == start:
+        # a cycle is no longer than the vertex set, so the walk returns
+        # to start before the steps run out
+        for part in state._passes(total_vertices(n)):
+            for p in part:
+                buf[p] ^= 1
+                verts.append(buf[1:].decode())
+            # a pass ending on top bit 0 lands on a forward pass's first
+            # vertex: the Dyck word it starts from is now seen
+            if buf[-1] == 48:
+                if verts[-1] == start:
+                    verts.pop()
                     break
-                remaining.discard(v[:-1])
-            verts.append(v)
+                remaining.discard(verts[-1][:-1])
         cycles.append(_anchor(verts))
     cycles.sort()
     return CycleSet(n, flips_enabled, tuple(cycles))
@@ -402,10 +408,15 @@ def run_checks(n: int) -> list[CheckResult]:
     """
     joined = two_factor(n, True)
     results = check_listing(n, joined.cycles[0])
+    # only the cycle count and lengths are read from here on: dropping
+    # the traced vertices now keeps them from sharing the memory peak
+    # with the flips-off trace
+    count, lengths = joined.count, joined.lengths
+    del joined
     g = flip_graph(n)
     results += check_two_factor(two_factor(n, False), len(g.nodes))
-    ok = joined.count == 1 and joined.lengths == [total_vertices(n)]
-    detail = f"{joined.count} cycle(s), lengths {joined.lengths}"
+    ok = count == 1 and lengths == [total_vertices(n)]
+    detail = f"{count} cycle(s), lengths {lengths}"
     results.append(CheckResult("single-cycle", n, ok, detail))
     results += check_flip_graph(g)
     results += check_six_cycles(n)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
+from midlevels.bitwords import decompose_near_dyck, rev_complement
+
 
 def all_words(length: int) -> list[str]:
     return ["".join(bits) for bits in product("01", repeat=length)]
@@ -62,6 +64,35 @@ def brute_match_table(x: str) -> list[int]:
                 table[q] = p
                 break
     return table
+
+
+def full_table_flip_sequence(x: str, start: int = 1) -> list[int]:
+    """Flip positions of the run opening at start, from the whole word's
+    quadratic match table: [b, start], then for each block a..c nested
+    in it, c and a, the block's own inside, a - 1 and c."""
+    match = brute_match_table(x)
+
+    def nested(lo: int, hi: int) -> list[int]:
+        out: list[int] = []
+        a = lo
+        while a <= hi:
+            c = match[a]
+            out += [c, a] + nested(a + 1, c - 1) + [a - 1, c]
+            a = c + 1
+        return out
+
+    b = match[start]
+    return [b, start] + nested(start + 1, b - 1)
+
+
+def backward_pass_by_decomposition(y: str) -> list[int]:
+    """Flip list of the backward pass that starts at vertex y + '1', for
+    a near-Dyck word y: split y = u01v, mirror the basic path from
+    g = 1 rc(v) 0 rc(u), and close with the flip of the top bit."""
+    u, v = decompose_near_dyck(y)
+    g = "1" + rev_complement(v) + "0" + rev_complement(u)
+    size = len(y) + 1
+    return [size - q for q in reversed(full_table_flip_sequence(g))] + [size]
 
 
 def brute_min_rotation(seq) -> int:

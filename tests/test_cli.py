@@ -10,6 +10,7 @@ import pytest
 
 from midlevels import cli
 from midlevels.cli import main, run_benchmark
+from midlevels.hamcycle import GeneratorState, total_vertices
 from midlevels.verify import CheckResult
 
 N1_CYCLE = ["100", "110", "010", "011", "001", "101"]
@@ -66,6 +67,37 @@ def test_gen_flips_off_walks_the_short_cycle(capsys):
     assert rc == 0
     assert out[42] == out[0]
     assert len(set(out[:42])) == 42
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
+    # every start, every count up to two rounds past the start's pass
+    # end (it ends within 2n+1 steps), and one count that wraps the cycle
+    counts = [*range(1, 10 * n + 7), total_vertices(n) + 4 * n + 3]
+    size = 2 * n + 1
+    for i in range(2**size):
+        start = format(i, f"0{size}b")
+        if start.count("1") not in (n, n + 1):
+            continue
+        state = GeneratorState(n, start)
+        verts, flips = [start], []
+        for _ in range(max(counts) - 1):
+            next(state)
+            verts.append(state.vertex())
+            flips.append(state.last_flip)
+        for fmt in ("bits", "delta"):
+            args = cli._build_parser().parse_args(
+                ["gen", "-n", str(n), "--start", start, "--format", fmt]
+            )
+            for count in counts:
+                args.count = count
+                assert cli._cmd_gen(args) == 0
+                out = capsys.readouterr().out
+                if fmt == "bits":
+                    assert out == "".join(f"{v}\n" for v in verts[:count])
+                else:
+                    rest = "".join(f"{p}\n" for p in flips[: count - 1])
+                    assert out == f"{start}\n" + rest
 
 
 def test_gen_rejects_bad_n(capsys):

@@ -12,7 +12,7 @@ from midlevels.flipseq import (
 )
 from midlevels.trees import pair_image, pair_preimage
 
-from helpers import hamming, middle_words
+from helpers import full_table_flip_sequence, hamming, middle_words
 
 # frozen expected flip sequences
 GOLDEN = {
@@ -35,6 +35,28 @@ def test_flip_sequence_golden_vectors(word, seq):
 def test_flip_sequence_rejects_empty():
     with pytest.raises(ValueError):
         flip_sequence("")
+
+
+@pytest.mark.parametrize("bad", ["0", "01", "110", "1a0", b"1x"])
+def test_flip_sequence_rejects_a_first_run_that_does_not_close(bad):
+    with pytest.raises(ValueError):
+        flip_sequence(bad)
+
+
+def test_flip_sequences_read_only_their_run():
+    # the suffix after the run is never read, so it need not be balanced
+    assert flip_sequence("1100" + "1") == flip_sequence("1100")
+    assert flip_sequence(b"111000" + b"0a") == GOLDEN["111000"]
+    assert pair_target_sequence("101100" + "11") == pair_target_sequence("101100")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flip_sequences_match_the_full_table_oracle(n):
+    for x in dyck_words(n):
+        assert flip_sequence(x) == full_table_flip_sequence(x)
+        if x[:3] == "101":
+            run = full_table_flip_sequence(x, 3)
+            assert pair_target_sequence(x) == [run[0], 1, 2, 3, 1, 2] + run[2:]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

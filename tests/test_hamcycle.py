@@ -21,7 +21,15 @@ from midlevels.hamcycle import (
     total_vertices,
 )
 
-from helpers import hamming, is_rotation, middle_words
+from helpers import (
+    all_words,
+    backward_pass_by_decomposition,
+    brute_near_dyck_words,
+    full_table_flip_sequence,
+    hamming,
+    is_rotation,
+    middle_words,
+)
 
 N1_CYCLE = ["100", "110", "010", "011", "001", "101"]
 
@@ -166,6 +174,50 @@ def test_resume_continues_the_walk_through_it(n):
             assert cur[:p] == prev[:p] and cur[p] != prev[p] and cur[p + 1 :] == prev[p + 1 :]
             assert {prev.count(b"1"), cur.count(b"1")} == {n, n + 1}
             prev = cur
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boundaries_match_the_oracles(n):
+    # a boundary builds its pass from the live buffer: a forward pass
+    # from every Dyck word, a backward pass from every near-Dyck word
+    size = 2 * n + 1
+    state = GeneratorState(n, flips=False)
+    for x in dyck_words(n):
+        state.buffer[1:] = (x + "0").encode()
+        state._start_forward()
+        assert state._seq == full_table_flip_sequence(x) + [size]
+        assert state._k == 0
+    for y in brute_near_dyck_words(n):
+        state.buffer[1:] = (y + "1").encode()
+        state._start_backward()
+        assert state._seq == backward_pass_by_decomposition(y)
+        assert state._k == 0
+
+
+def _cursor_walk(n: int, start: str, count: int) -> list[str]:
+    state = GeneratorState(n, start)
+    verts = [state.vertex()]
+    for _ in range(count - 1):
+        next(state)
+        verts.append(state.vertex())
+    return verts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_drivers_match_the_public_cursor_at_every_count(n):
+    # a start's pass ends within 2n+1 steps, so counts up to 10n+6 run
+    # two rounds past it and cut every pass at every place; the last
+    # count wraps the whole cycle
+    counts = [*range(1, 10 * n + 7), total_vertices(n) + 4 * n + 3]
+    for start in all_words(2 * n + 1):
+        if start.count("1") not in (n, n + 1):
+            continue
+        want = _cursor_walk(n, start, max(counts))
+        for count in counts:
+            got: list[str] = []
+            ham_cycle(n, start, count, lambda buf: got.append(buf[1:].decode()))
+            assert got == want[:count]
+            assert list(generate(n, start, count)) == want[:count]
 
 
 def test_init_spot_value():

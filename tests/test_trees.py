@@ -154,9 +154,18 @@ def test_is_flip_tree_examples():
     assert is_flip_tree("110010")
     assert not is_flip_tree("110100")  # star
     assert not is_flip_tree("1100")
-    assert not is_flip_tree("110110")
+    assert not is_flip_tree("11011000")  # prefix 11011
     with pytest.raises(ValueError):
         is_flip_tree("101010")
+
+
+@pytest.mark.parametrize(
+    "bad", ["110110", "110a", "11011", "1101100001", "110", "1101"]
+)
+def test_is_flip_tree_rejects_non_dyck(bad):
+    # checked before the prefix shortcuts, which would answer False
+    with pytest.raises(ValueError):
+        is_flip_tree(bad)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
