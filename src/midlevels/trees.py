@@ -216,14 +216,17 @@ def _canonical_rooting(x: str, tree: _Tree) -> tuple[int, int, int]:
         if s == t:
             return c, b, m // 2
         return (c, b, m) if s < t else (b, c, m)
-    # c's neighbours in the order x leaves c towards them
+    # c's neighbours in the order x steps from c to them: its children,
+    # then its parent unless c is x's root
     nbs = adj[c][1:] + adj[c][:1] if c else adj[c]
-    starts = [_corner(tree, c, w) for w in nbs]
+    starts = [opens[w] for w in nbs]
+    if c:
+        starts[-1] = closes[c]
     ends = starts[1:] + [starts[0] + m]
-    lab2 = lab + lab
-    k = booth_min_rotation([lab2[a:e] for a, e in zip(starts, ends)]) - 1
     s = bytes(lab)
-    return c, nbs[k], (s + s).find(s, 1)
+    ss = s + s
+    k = booth_min_rotation([ss[a:e] for a, e in zip(starts, ends)]) - 1
+    return c, nbs[k], ss.find(s, 1)
 
 
 def canonical_root(x: str) -> str:
