@@ -18,6 +18,10 @@ from typing import TextIO
 from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
 from .verify import FULL_GRAPH_CAP, format_check, run_checks
 
+# Bytes per `gen --format bits` write, but at least one line: the memory
+# stays O(n) however long a pass is, and short lines take few writes.
+_CHUNK_BYTES = 1 << 16
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -120,13 +124,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return 3
     buf = state.buffer
     with _piped_stdout() as out:
-        out.write(state.vertex() + "\n")
         if args.format == "bits":
+            # The generator never reads the buffer's sentinel byte, so as
+            # "\n" it ends the previous line: each step appends one whole
+            # line to the chunk, and the last line's newline comes after.
+            out.write(state.vertex())
+            buf[0] = 10
+            lines = max(1, _CHUNK_BYTES // len(buf))
             for part in state._passes(count - 1):
-                for p in part:
-                    buf[p] ^= 1
-                    out.write(buf[1:].decode() + "\n")
+                for i in range(0, len(part), lines):
+                    chunk = bytearray()
+                    for p in part[i : i + lines]:
+                        buf[p] ^= 1
+                        chunk += buf
+                    out.write(chunk.decode())
+            out.write("\n")
         else:
+            out.write(state.vertex() + "\n")
             # one write per pass; the buffer still follows the walk,
             # because each pass is built from the vertex it starts at
             for part in state._passes(count - 1):

@@ -23,6 +23,7 @@ cyclic listing, merely rotated.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from itertools import accumulate
 from math import comb
 
 from .bitwords import rev_complement
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _COMPLEMENT = bytes.maketrans(b"01", b"10")
+_STEP = {48: -1, 49: 1}  # lattice step of an ASCII '0' or '1'
 
 
 def total_vertices(n: int) -> int:
@@ -68,22 +70,13 @@ def path_first_vertex(z: str) -> str:
     if wt not in (n, n + 1):
         raise ValueError("not a middle-levels word")
 
-    heights = [0] * (n2 + 1)
-    h = 0
-    for i, c in enumerate(z, start=1):
-        h += 1 if c == "1" else -1
-        heights[i] = h
+    heights = list(accumulate(map(_STEP.__getitem__, z.encode()), initial=0))
+    # heights read from the right: rev[r] is the height at point n2 - r
+    rev = heights[::-1]
     m = min(heights)
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    touches: list[int] = []
-    for p, lev in enumerate(heights):
-        if lev not in first:
-            first[lev] = p
-        last[lev] = p
-        if lev == m:
-            touches.append(p)
-    unique = len(touches) == 1
+    low_first = heights.index(m)
+    low_last = n2 - rev.index(m)
+    unique = low_first == low_last
 
     us: list[str] = []
     vs: list[str] = []
@@ -93,44 +86,47 @@ def path_first_vertex(z: str) -> str:
         # the separating zeros are the first arrivals at each level
         prev = 0
         for lev in range(-1, down_to - 1, -1):
-            pt = first[lev]
+            pt = heights.index(lev, prev)
             us.append(z[prev : pt - 1])
             prev = pt
         return prev
 
     def ascend(levels: range, start_point: int) -> int:
+        # the separating ones are the last arrivals at each level; the
+        # walk ends above them all, so a higher level is left later and
+        # is found first from the right
+        pts: list[int] = []
+        r = 0
+        for lev in reversed(levels):
+            r = rev.index(lev, r)
+            pts.append(n2 - r)
         prev = start_point
-        for lev in levels:
-            pt = last[lev]
+        for pt in reversed(pts):
             vs.append(z[prev:pt])
             prev = pt + 1
         return prev
 
     if wt == n and unique:
-        t = touches[0]
         start = descend(m + 1)
-        w = z[start : t - 1]
-        prev = ascend(range(m + 1, 0), t + 1)
-        v = z[prev:]
-    elif wt == n and not unique:
+        w = z[start : low_first - 1]
+        prev = ascend(range(m + 1, 0), low_first + 1)
+    elif wt == n:  # lowest level touched at least twice
         descend(m)
-        t2 = touches[1]
-        w = z[touches[0] + 1 : t2 - 1]
+        t2 = heights.index(m, low_first + 1)
+        w = z[low_first + 1 : t2 - 1]
         prev = ascend(range(m, 0), t2)
-        v = z[prev:]
     elif unique:  # weight n + 1
         t = descend(m)
-        a = last[m + 1]
+        a = n2 - rev.index(m + 1)
         w = z[t + 1 : a]
         prev = ascend(range(m + 2, 2), a + 1)
-        v = z[prev:]
     else:  # weight n + 1, lowest level touched at least twice
         descend(m)
-        pen, lastpt = touches[-2], touches[-1]
-        us.append(z[touches[0] : pen])
-        w = z[pen + 1 : lastpt - 1]
-        prev = ascend(range(m + 1, 2), lastpt + 1)
-        v = z[prev:]
+        pen = n2 - rev.index(m, n2 - low_last + 1)
+        us.append(z[low_first:pen])
+        w = z[pen + 1 : low_last - 1]
+        prev = ascend(range(m + 1, 2), low_last + 1)
+    v = z[prev:]
 
     parts: list[str] = []
     for piece in us:
@@ -174,7 +170,7 @@ def _locate(start: str, seq: Sequence[int], target: str) -> int:
     # by tracking the mismatch count instead of comparing whole words.
     cur = bytearray(start.encode())
     tgt = target.encode()
-    diff = sum(1 for a, b in zip(cur, tgt) if a != b)
+    diff = (int(start, 2) ^ int(target, 2)).bit_count()
     if diff == 0:
         return 0
     for t, p in enumerate(seq, start=1):
@@ -191,7 +187,8 @@ class GeneratorState:
 
     next(state) advances one vertex and returns the internal buffer: a
     bytearray of ASCII '0'/'1' codes with a sentinel byte at index 0, so
-    buffer[p] is the bit at 1-based position p.  The buffer is owned by
+    buffer[p] is the bit at 1-based position p; the state never reads
+    the sentinel.  The buffer is owned by
     the state and overwritten in place; use vertex() for a string
     snapshot.  i counts visits, the start vertex included.
 

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -69,10 +70,11 @@ def test_gen_flips_off_walks_the_short_cycle(capsys):
     assert len(set(out[:42])) == 42
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
-    # every start, every count up to two rounds past the start's pass
-    # end (it ends within 2n+1 steps), and one count that wraps the cycle
+def _cursor_walks(n):
+    """(counts, start, vertices, flips) for every start at n, stepped
+    with the public cursor as far as the largest count."""
+    # every count up to two rounds past the start's pass end (it ends
+    # within 2n+1 steps), and one count that wraps the cycle
     counts = [*range(1, 10 * n + 7), total_vertices(n) + 4 * n + 3]
     size = 2 * n + 1
     for i in range(2**size):
@@ -85,6 +87,12 @@ def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
             next(state)
             verts.append(state.vertex())
             flips.append(state.last_flip)
+        yield counts, start, verts, flips
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
+    for counts, start, verts, flips in _cursor_walks(n):
         for fmt in ("bits", "delta"):
             args = cli._build_parser().parse_args(
                 ["gen", "-n", str(n), "--start", start, "--format", fmt]
@@ -98,6 +106,45 @@ def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
                 else:
                     rest = "".join(f"{p}\n" for p in flips[: count - 1])
                     assert out == f"{start}\n" + rest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_bits_chunks_cut_anywhere_in_a_pass(n, capsys, monkeypatch):
+    # A default chunk holds a whole pass at these n.  Chunks of one line
+    # and of three lines (a line is 2n+2 bytes) end inside passes and at
+    # pass ends, and a count can stop the walk at any of those places.
+    walks = list(_cursor_walks(n))
+    for chunk_bytes in (1, 3 * (2 * n + 2)):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+        for counts, start, verts, _ in walks:
+            args = cli._build_parser().parse_args(
+                ["gen", "-n", str(n), "--start", start]
+            )
+            for count in counts:
+                args.count = count
+                assert cli._cmd_gen(args) == 0
+                out = capsys.readouterr().out
+                assert out == "".join(f"{v}\n" for v in verts[:count])
+
+
+def test_gen_bits_memory_stays_o_n_at_large_n(monkeypatch):
+    # Bounded chunks keep the output's working set near 64 KiB even
+    # though one pass at n = 500 is up to about 1 MB of text.
+    class Discard:
+        def write(self, _text):
+            return None
+
+        def flush(self):
+            return None
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert main(["gen", "-n", "500", "--count", "3000"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gen_rejects_bad_n(capsys):

@@ -113,6 +113,32 @@ DELTA_SHA256 = [
     ),
 ]
 
+# sha256 of `midlevels gen -n N [--start S] --count C` (bits format):
+# long runs at n = 19, and at n = 500 runs of several passes, each cut
+# into many output chunks.  The starts are DELTA_SHA256 starts.
+BITS_SHA256 = [
+    pytest.param(
+        19, None, 100001,
+        "9bd2c31480bc75351c61bca88c1fdca2d908adbca2a253639ae4a12ec441e93a",
+        id="19",
+    ),
+    pytest.param(
+        19, "1" * 13 + "0" * 20 + "1" * 6, 100001,
+        "502666cf38e01238e4cb345c4db8f74991656f9864c5c0b1493119b9afe981da",
+        id="19-mid-backward",
+    ),
+    pytest.param(
+        500, None, 3001,
+        "a35bef2cb7caa25b83b883cc1a6dc0d0ad12c6e71fd7d008c1eb6de3ef0fcc95",
+        id="500",
+    ),
+    pytest.param(
+        500, "1" + "10" * 249 + "0" + "10" * 250 + "0", 3001,
+        "4ab073256c592c425272ac60c02e70b99af55807afdcebf8942351072936e3bf",
+        id="500-pair-source",
+    ),
+]
+
 # sha256 over "x canonical_root(x) flip\n" for every Dyck word, n = 1..10
 TREES_SHA256 = "d345d60227920b3f48a21a8cb7238a0150871f92cde30d465a55f107c26b685f"
 
@@ -130,15 +156,24 @@ def test_listing_digest(n):
     assert _sha256("\n".join(generate(n)) + "\n") == LISTING_SHA256[n]
 
 
-@pytest.mark.parametrize("n, start, count, digest", DELTA_SHA256)
-def test_cli_delta_digest(n, start, count, digest, monkeypatch):
+def _gen_digest(monkeypatch, n, start, count, fmt):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
-    argv = ["gen", "-n", str(n), "--count", str(count), "--format", "delta"]
+    argv = ["gen", "-n", str(n), "--count", str(count), "--format", fmt]
     if start is not None:
         argv += ["--start", start]
     assert main(argv) == 0
-    assert _sha256(out.getvalue()) == digest
+    return _sha256(out.getvalue())
+
+
+@pytest.mark.parametrize("n, start, count, digest", DELTA_SHA256)
+def test_cli_delta_digest(n, start, count, digest, monkeypatch):
+    assert _gen_digest(monkeypatch, n, start, count, "delta") == digest
+
+
+@pytest.mark.parametrize("n, start, count, digest", BITS_SHA256)
+def test_cli_bits_digest(n, start, count, digest, monkeypatch):
+    assert _gen_digest(monkeypatch, n, start, count, "bits") == digest
 
 
 def test_canonical_root_and_flip_tree_digest():
