@@ -1,9 +1,9 @@
 """Bitstring and balanced-word primitives.
 
 Words are plain Python strings over the characters '0' and '1'.  Any
-other character makes a word OTHER to `classify` and an error to the
-functions that match or split it; it is never read as a '0'.  Positions
-are 1-based throughout the package: position 1 is the leftmost character.
+other character makes `is_dyck_word` answer False and the functions that
+match or split a word raise; it is never read as a '0'.  Positions are
+1-based throughout the package: position 1 is the leftmost character.
 This matches the flip sequences and the CLI delta output, which name
 positions, never array indices.
 
@@ -15,19 +15,12 @@ near-Dyck word if exactly one prefix dips below zero (necessarily to -1).
 
 from __future__ import annotations
 
-import enum
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 __all__ = [
-    "WordClass",
-    "weight",
-    "flip",
     "rev_complement",
-    "classify",
     "is_dyck_word",
-    "is_near_dyck_word",
     "build_match_table",
-    "decompose_dyck",
     "decompose_near_dyck",
     "dyck_words",
 ]
@@ -37,66 +30,25 @@ _ONE = ord("1")
 _COMPLEMENT = str.maketrans("01", "10")
 
 
-class WordClass(enum.Enum):
-    """Prefix-balance classification of a word."""
-
-    DYCK = "dyck"
-    NEAR_DYCK = "near-dyck"
-    OTHER = "other"
-
-
-def weight(x: str) -> int:
-    """Number of ones in the word."""
-    return x.count("1")
-
-
-def flip(x: str, p: int) -> str:
-    """Return a copy of x with the bit at 1-based position p toggled."""
-    if not 1 <= p <= len(x):
-        raise ValueError("position out of bounds")
-    i = p - 1
-    return x[:i] + ("0" if x[i] == "1" else "1") + x[i + 1 :]
-
-
 def rev_complement(x: str) -> str:
     """Reverse the word and complement every bit.  An involution that
     maps Dyck words to Dyck words and near-Dyck words to near-Dyck words."""
     return x.translate(_COMPLEMENT)[::-1]
 
 
-def classify(x: str) -> WordClass:
-    """Classify x as DYCK, NEAR_DYCK, or OTHER.
-
-    The empty word counts as a Dyck word.  Unbalanced words, words of odd
-    length, words with two or more below-zero prefixes, and words with a
-    character other than '0' and '1' are OTHER.
-    """
+def is_dyck_word(x: str) -> bool:
+    """Whether x is a Dyck word; the empty word is one."""
     if x.count("0") + x.count("1") != len(x):
-        return WordClass.OTHER
+        return False
     height = 0
-    dips = 0
     for c in x:
         if c == "1":
             height += 1
         else:
             height -= 1
             if height < 0:
-                dips += 1
-    if height != 0:
-        return WordClass.OTHER
-    if dips == 0:
-        return WordClass.DYCK
-    if dips == 1:
-        return WordClass.NEAR_DYCK
-    return WordClass.OTHER
-
-
-def is_dyck_word(x: str) -> bool:
-    return classify(x) is WordClass.DYCK
-
-
-def is_near_dyck_word(x: str) -> bool:
-    return classify(x) is WordClass.NEAR_DYCK
+                return False
+    return height == 0
 
 
 def build_match_table(x: str | bytes | bytearray) -> list[int]:
@@ -127,22 +79,6 @@ def build_match_table(x: str | bytes | bytearray) -> list[int]:
     if stack:
         raise ValueError("unbalanced word")
     return match
-
-
-def decompose_dyck(
-    x: str, match: Sequence[int] | None = None
-) -> tuple[str, str]:
-    """Split a nonempty Dyck word as x = 1 u 0 v and return (u, v).
-
-    u is the content of the first balanced run, v the remainder; both are
-    Dyck words.  Pass a precomputed match table to skip rebuilding it.
-    """
-    if not x:
-        raise ValueError("empty decomposition")
-    if match is None:
-        match = build_match_table(x)
-    b = match[1]
-    return x[1 : b - 1], x[b:]
 
 
 def decompose_near_dyck(y: str) -> tuple[str, str]:

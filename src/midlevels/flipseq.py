@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitwords import decompose_dyck
-
 __all__ = [
     "flip_sequence",
     "pair_source_sequence",
     "pair_target_sequence",
     "apply_flips",
-    "last_vertex",
 ]
 
 _ZERO = ord("0")
@@ -112,9 +109,3 @@ def apply_flips(x: str, seq: Sequence[int]) -> list[str]:
         cur[i] = "0" if cur[i] == "1" else "1"
         words.append("".join(cur))
     return words
-
-
-def last_vertex(x: str) -> str:
-    """Endpoint of the basic path from x = 1u0v, in closed form: u01v."""
-    u, v = decompose_dyck(x)
-    return u + "01" + v

@@ -2,9 +2,9 @@
 
 A Dyck word with n ones encodes an ordered rooted tree with n edges: a
 '1' opens an edge to the current vertex's next child, the matching '0'
-closes it.  Rotation moves the root to its first child without changing
-the embedded (plane) tree, so rotation orbits of words correspond to
-plane trees.
+closes it.  Rotation, 1u0v -> u1v0, moves the root to its first child
+without changing the embedded (plane) tree, so rotation orbits of words
+correspond to plane trees.
 
 `_tree` reads a word once into its tree's cyclic adjacency, the one
 tree representation here; a rooting is a (root, first child) pair on it,
@@ -15,21 +15,19 @@ path the generator replaces by its modified variant; that single swap
 per orbit is what merges the short cycles into one.
 
 Reading x walks the tree's Euler tour: position i of x (0-based) is one
-step along a directed edge (u, w), and rotate^i(x) is the word of the
-rooting (u, w).  So rotations of x are tour positions, and two positions
-give the same word iff they differ by a multiple of the tree's
-rotational period, the least p > 0 with rotate^p(x) == x.
+step along a directed edge (u, w), and the i-th rotation of x is the
+word of the rooting (u, w).  So rotations of x are tour positions, and
+two positions give the same word iff they differ by a multiple of the
+tree's rotational period, the least p > 0 whose p-th rotation is x.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitwords import decompose_dyck, is_dyck_word
+from .bitwords import is_dyck_word
 
 __all__ = [
-    "rotate",
-    "rotation_orbit",
     "booth_min_rotation",
     "canonical_root",
     "pair_image",
@@ -108,31 +106,6 @@ def _encode(adj: list[list[int]], root: int, first: int) -> str:
         j = nxt.index(v)
         stack.append((w, iter(nxt[j + 1 :] + nxt[:j])))
     return "".join(out)
-
-
-def rotate(x: str) -> str:
-    """Move the root to its first child: 1u0v becomes u1v0.
-
-    The plane tree is unchanged; iterating rotate walks the full orbit of
-    rooted encodings.
-    """
-    if not x:
-        raise ValueError("empty word")
-    u, v = decompose_dyck(x)
-    return u + "1" + v + "0"
-
-
-def rotation_orbit(x: str) -> list[str]:
-    """All rooted encodings of x's plane tree, starting at x."""
-    orbit = [x]
-    y = rotate(x)
-    while y != x:
-        orbit.append(y)
-        if len(orbit) > len(x) + 1:
-            # theory: the orbit period divides the corner count 2n
-            raise RuntimeError("rotation orbit did not close")
-        y = rotate(y)
-    return orbit
 
 
 def _centers(adj: list[list[int]]) -> list[int]:
@@ -236,7 +209,7 @@ def canonical_root(x: str) -> str:
     encodings that put one center on top of the other; with one center,
     the center's subtree list is rotated to its least position (subtrees
     separated by a symbol below '0' and '1', so comparison respects the
-    plane cyclic order).  Invariant under rotate.
+    plane cyclic order).  Invariant under rotation.
     """
     if not x:
         return ""

@@ -37,7 +37,6 @@ __all__ = [
     "FlipGraph",
     "flip_graph",
     "is_spanning_tree",
-    "TreeSignature",
     "tree_signature",
     "check_edge_monotonicity",
     "check_flip_graph",
@@ -71,21 +70,26 @@ def check_listing(n: int, listing: Iterable[str]) -> list[CheckResult]:
 
     Verifies word shape, single-bit steps, weight alternation, and
     distinctness; when the listing has exactly the full vertex count,
-    also the cyclic closure back to the first vertex.
+    also the cyclic closure back to the first vertex.  Duplicates are
+    counted among the well-shaped words only, on a table with one byte
+    per word of length 2n+1, indexed by the word's integer value.
     """
+    if not 1 <= n <= FULL_GRAPH_CAP:
+        raise ValueError("desk-scale only")
     seq = list(listing)
-    # the set is freed before the weights list exists, which keeps the
-    # memory peak of a full listing down
-    dup = len(seq) - len(set(seq))
     size = 2 * n + 1
     weights = [w.count("1") for w in seq]
     results: list[CheckResult] = []
 
-    bad_shape = sum(
-        1
-        for w, k in zip(seq, weights)
-        if len(w) != size or w.count("0") + k != size or k not in (n, n + 1)
-    )
+    seen = bytearray(1 << size)
+    bad_shape = dup = 0
+    for w, k in zip(seq, weights):
+        if len(w) != size or w.count("0") + k != size or k not in (n, n + 1):
+            bad_shape += 1
+        else:
+            i = int(w, 2)
+            dup += seen[i]
+            seen[i] = 1
     results.append(
         CheckResult(
             "listing-shape",
@@ -258,23 +262,16 @@ def is_spanning_tree(g: FlipGraph) -> bool:
     return len(seen) == len(nodes)
 
 
-@dataclass(frozen=True, order=True)
-class TreeSignature:
-    """(leaves, non-terminal leaves, max degree); strictly increases in
-    lexicographic order along every flip-graph arc."""
-
-    leaves: int
-    nonterminal_leaves: int
-    max_degree: int
-
-
-def tree_signature(x: str) -> TreeSignature:
+def tree_signature(x: str) -> tuple[int, int, int]:
+    """(leaves, non-terminal leaves, max degree) of x's plane tree;
+    strictly increases in lexicographic order along every flip-graph
+    arc."""
     adj = _adjacency(x)
     deg = [len(a) for a in adj]
     leaves = [v for v, d in enumerate(deg) if d == 1]
     if len(leaves) == len(adj):
         # single edge: both ends are leaves, no interior at all
-        return TreeSignature(len(leaves), 0, max(deg))
+        return len(leaves), 0, max(deg)
     # the skeleton is the tree minus its leaves; a leaf is terminal when
     # its one neighbour is a leaf of the skeleton
     skel_leaves = {
@@ -283,7 +280,7 @@ def tree_signature(x: str) -> TreeSignature:
         if deg[v] != 1 and sum(1 for u in a if deg[u] != 1) <= 1
     }
     terminal = sum(1 for v in leaves if adj[v][0] in skel_leaves)
-    return TreeSignature(len(leaves), len(leaves) - terminal, max(deg))
+    return len(leaves), len(leaves) - terminal, max(deg)
 
 
 def check_edge_monotonicity(g: FlipGraph) -> CheckResult:

@@ -66,6 +66,33 @@ def brute_match_table(x: str) -> list[int]:
     return table
 
 
+def decompose_dyck(x: str) -> tuple[str, str]:
+    """Split a nonempty Dyck word as x = 1u0v and return (u, v), with
+    the closer of position 1 found by the quadratic matcher."""
+    if not x:
+        raise ValueError("empty decomposition")
+    b = brute_match_table(x)[1]
+    return x[1 : b - 1], x[b:]
+
+
+def rotate(x: str) -> str:
+    """Move the root to its first child: 1u0v becomes u1v0."""
+    u, v = decompose_dyck(x)
+    return u + "1" + v + "0"
+
+
+def rotation_orbit(x: str) -> list[str]:
+    """Every rotation of x, starting at x, up to its first return."""
+    orbit = [x]
+    y = rotate(x)
+    while y != x:
+        orbit.append(y)
+        # the orbit's size divides the corner count len(x)
+        assert len(orbit) <= len(x), "rotation orbit did not close"
+        y = rotate(y)
+    return orbit
+
+
 def full_table_flip_sequence(x: str, start: int = 1) -> list[int]:
     """Flip positions of the run opening at start, from the whole word's
     quadratic match table: [b, start], then for each block a..c nested

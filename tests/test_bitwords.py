@@ -3,17 +3,11 @@ from __future__ import annotations
 import pytest
 
 from midlevels.bitwords import (
-    WordClass,
     build_match_table,
-    classify,
-    decompose_dyck,
     decompose_near_dyck,
     dyck_words,
-    flip,
     is_dyck_word,
-    is_near_dyck_word,
     rev_complement,
-    weight,
 )
 
 from helpers import (
@@ -23,32 +17,8 @@ from helpers import (
     brute_match_table,
     brute_near_dyck_words,
     catalan,
+    decompose_dyck,
 )
-
-
-def test_weight():
-    assert weight("") == 0
-    assert weight("10110") == 3
-    assert weight("0000") == 0
-
-
-def test_flip_toggles_one_position():
-    assert flip("1100", 1) == "0100"
-    assert flip("1100", 4) == "1101"
-    assert flip("0", 1) == "1"
-
-
-def test_flip_is_an_involution():
-    w = "1101001"
-    for p in range(1, len(w) + 1):
-        assert flip(flip(w, p), p) == w
-
-
-def test_flip_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        flip("1100", 0)
-    with pytest.raises(ValueError):
-        flip("1100", 5)
 
 
 def test_rev_complement_examples():
@@ -67,33 +37,29 @@ def test_rev_complement_is_an_involution():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rev_complement_preserves_word_class(n):
     for w in all_words(2 * n):
-        assert classify(rev_complement(w)) is classify(w)
+        assert brute_class(rev_complement(w)) == brute_class(w)
 
 
-def test_classify_against_prefix_count_oracle():
+def test_is_dyck_word_against_prefix_count_oracle():
     # every word up to length 10, odd lengths included
     for length in range(11):
         for w in all_words(length):
-            assert classify(w).value == brute_class(w)
+            assert is_dyck_word(w) == (brute_class(w) == "dyck")
 
 
-def test_classify_edge_cases():
-    assert classify("") is WordClass.DYCK
-    assert classify("10") is WordClass.DYCK
-    assert classify("01") is WordClass.NEAR_DYCK
-    assert classify("0110") is WordClass.NEAR_DYCK
-    assert classify("0011") is WordClass.OTHER  # dips twice
-    assert classify("1") is WordClass.OTHER
+def test_is_dyck_word_edge_cases():
+    assert is_dyck_word("")
+    assert is_dyck_word("10")
+    assert not is_dyck_word("01")
+    assert not is_dyck_word("0110")
+    assert not is_dyck_word("0011")  # dips twice
+    assert not is_dyck_word("1")
+    # the near-Dyck words above split at their one dip
+    assert decompose_near_dyck("01") == ("", "")
+    assert decompose_near_dyck("0110") == ("", "10")
     # characters other than 0 and 1 are never read as either
     for w in ["1a", "1 ", "a1", "1a10", "0a"]:
-        assert classify(w) is WordClass.OTHER
-    assert not is_dyck_word("1a")
-
-
-def test_predicates_agree_with_classify():
-    for w in all_words(6):
-        assert is_dyck_word(w) == (classify(w) is WordClass.DYCK)
-        assert is_near_dyck_word(w) == (classify(w) is WordClass.NEAR_DYCK)
+        assert not is_dyck_word(w)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -146,12 +112,11 @@ def test_match_table_rejects_unbalanced(bad):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_decompose_dyck_roundtrip(n):
+    # the quadratic oracle that the walk and rotation tests split with
     for x in dyck_words(n):
         u, v = decompose_dyck(x)
         assert "1" + u + "0" + v == x
         assert is_dyck_word(u) and is_dyck_word(v)
-        # a precomputed table must not change the answer
-        assert decompose_dyck(x, build_match_table(x)) == (u, v)
 
 
 def test_decompose_dyck_rejects_empty():

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import pytest
 
-from midlevels.bitwords import decompose_dyck, dyck_words, is_near_dyck_word
+from midlevels.bitwords import dyck_words
 from midlevels.flipseq import (
     apply_flips,
     flip_sequence,
-    last_vertex,
     pair_source_sequence,
     pair_target_sequence,
 )
 from midlevels.trees import pair_image, pair_preimage
 
-from helpers import full_table_flip_sequence, hamming, middle_words
+from helpers import (
+    brute_class,
+    decompose_dyck,
+    full_table_flip_sequence,
+    hamming,
+    middle_words,
+)
 
 # frozen expected flip sequences
 GOLDEN = {
@@ -75,7 +80,10 @@ def test_walk_shape(n):
     for x in dyck_words(n):
         walk = apply_flips(x, flip_sequence(x))
         assert walk[0] == x
-        assert walk[-1] == last_vertex(x)
+        # the path from x = 1u0v ends at the near-Dyck word u01v
+        u, v = decompose_dyck(x)
+        assert walk[-1] == u + "01" + v
+        assert brute_class(walk[-1]) == "near-dyck"
         assert len(set(walk)) == len(walk)
         for a, b in zip(walk, walk[1:]):
             assert hamming(a, b) == 1
@@ -95,11 +103,8 @@ def test_walks_partition_the_middle_words(n):
 
 
 def test_last_vertex():
-    assert last_vertex("111000") == "110001"
-    assert last_vertex("101010") == "011010"
-    for n in range(1, 6):
-        for x in dyck_words(n):
-            assert is_near_dyck_word(last_vertex(x))
+    assert apply_flips("111000", flip_sequence("111000"))[-1] == "110001"
+    assert apply_flips("101010", flip_sequence("101010"))[-1] == "011010"
 
 
 def test_pair_source_sequence():

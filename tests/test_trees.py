@@ -16,11 +16,15 @@ from midlevels.trees import (
     is_flip_tree,
     pair_image,
     pair_preimage,
+)
+
+from helpers import (
+    adjacency_from_word,
+    brute_centers,
+    brute_min_rotation,
     rotate,
     rotation_orbit,
 )
-
-from helpers import adjacency_from_word, brute_centers, brute_min_rotation
 
 # plane trees with n edges, n = 1..8
 PLANE_TREE_COUNTS = [1, 1, 2, 3, 6, 14, 34, 95]

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from midlevels.hamcycle import generate, total_vertices
 from midlevels.verify import (
+    FULL_GRAPH_CAP,
     _interleaved,
     CheckResult,
     CycleSet,
@@ -21,6 +24,8 @@ from midlevels.verify import (
     tree_signature,
     two_factor,
 )
+
+from helpers import rotation_orbit
 
 PLANE_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 14}
 
@@ -70,6 +75,26 @@ def test_check_listing_flags_duplicates():
     listing[7] = listing[2]
     flagged = _by_name(check_listing(2, listing))
     assert not flagged["listing-distinct"].passed
+
+
+def test_check_listing_memory_stays_below_a_vertex_set():
+    # a set of the 48,620 words at n = 8 takes about 2 MiB beyond the
+    # listing; one byte per possible word of length 17 takes 128 KiB
+    listing = tuple(generate(8))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = check_listing(8, listing)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 3 << 19  # 1.5 MiB
+
+
+def test_check_listing_respects_the_cap():
+    with pytest.raises(ValueError):
+        check_listing(FULL_GRAPH_CAP + 1, [])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -149,18 +174,13 @@ def test_is_spanning_tree_rejects_malformed_graphs():
 
 
 def test_tree_signature_spot_values():
-    assert tree_signature("10") == tree_signature("10")
-    sig = tree_signature("10")
-    assert (sig.leaves, sig.nonterminal_leaves, sig.max_degree) == (2, 0, 1)
-    sig = tree_signature("110010")
-    assert (sig.leaves, sig.nonterminal_leaves, sig.max_degree) == (2, 0, 2)
-    sig = tree_signature("101010")
-    assert (sig.leaves, sig.nonterminal_leaves, sig.max_degree) == (3, 0, 3)
+    # (leaves, non-terminal leaves, max degree)
+    assert tree_signature("10") == (2, 0, 1)
+    assert tree_signature("110010") == (2, 0, 2)
+    assert tree_signature("101010") == (3, 0, 3)
 
 
 def test_signature_is_rooting_independent():
-    from midlevels.trees import rotation_orbit
-
     for x in ["1101001100", "1110001010", "1011010010"]:
         sigs = {tree_signature(y) for y in rotation_orbit(x)}
         assert len(sigs) == 1
