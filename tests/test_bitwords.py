@@ -40,11 +40,33 @@ def test_rev_complement_preserves_word_class(n):
         assert brute_class(rev_complement(w)) == brute_class(w)
 
 
-def test_is_dyck_word_against_prefix_count_oracle():
+def _is_near_dyck(w):
+    try:
+        decompose_near_dyck(w)
+    except ValueError:
+        return False
+    return True
+
+
+def _classify(w):
+    # the three word classes, read off the package's two predicates
+    if is_dyck_word(w):
+        return "dyck"
+    return "near-dyck" if _is_near_dyck(w) else "other"
+
+
+def test_classify_against_prefix_count_oracle():
     # every word up to length 10, odd lengths included
     for length in range(11):
         for w in all_words(length):
-            assert is_dyck_word(w) == (brute_class(w) == "dyck")
+            assert _classify(w) == brute_class(w)
+
+
+def test_predicates_agree_with_classify():
+    for w in all_words(6):
+        assert is_dyck_word(w) == (brute_class(w) == "dyck")
+        assert _is_near_dyck(w) == (brute_class(w) == "near-dyck")
+        assert not (is_dyck_word(w) and _is_near_dyck(w))
 
 
 def test_is_dyck_word_edge_cases():
