@@ -7,9 +7,9 @@ without changing the embedded (plane) tree, so rotation orbits of words
 correspond to plane trees.
 
 `_tree` reads a word once into its tree's cyclic adjacency, the one
-tree representation here; a rooting is a (root, first child) pair on it,
-and `_encode` writes a rooting back as a word.  `canonical_root` picks
-one rooting per plane tree, anchored at the tree's center.
+tree representation here; a rooting is a (root, first child) pair on it.
+`canonical_root` picks one rooting per plane tree, anchored at the
+tree's center, and reads its word off x relabelled from that center.
 `is_flip_tree` marks, within each non-star orbit, exactly one word whose
 path the generator replaces by its modified variant; that single swap
 per orbit is what merges the short cycles into one.
@@ -82,32 +82,6 @@ def _corner(tree: _Tree, u: int, w: int) -> int:
     return opens[w] if w and adj[w][0] == u else closes[u]
 
 
-def _encode(adj: list[list[int]], root: int, first: int) -> str:
-    """Dyck word of the tree rooted at root with first as leftmost child.
-
-    Every other vertex lists its children in the cyclic order of adj
-    that follows the edge it was entered by.  Iterative so deep trees
-    cannot hit the recursion limit.
-    """
-    lst = adj[root]
-    i = lst.index(first)
-    out: list[str] = []
-    stack = [(root, iter(lst[i:] + lst[:i]))]
-    while stack:
-        v, it = stack[-1]
-        w = next(it, None)
-        if w is None:
-            stack.pop()
-            if stack:
-                out.append("0")
-            continue
-        out.append("1")
-        nxt = adj[w]
-        j = nxt.index(v)
-        stack.append((w, iter(nxt[j + 1 :] + nxt[:j])))
-    return "".join(out)
-
-
 def _centers(adj: list[list[int]]) -> list[int]:
     size = len(adj)
     if size <= 2:
@@ -157,17 +131,21 @@ def booth_min_rotation(seq: Sequence[int]) -> int:
     return k + 1
 
 
-def _canonical_rooting(x: str, tree: _Tree) -> tuple[int, int, int]:
-    """(root, first, period): the rooting whose word is `canonical_root`,
-    and the tree's rotational period.
+def _canonical_rooting(
+    x: str, tree: _Tree
+) -> tuple[int, int, bytes | bytearray]:
+    """(corner, period, word): the tour position of the rooting whose
+    word is `canonical_root`, the tree's rotational period, and that
+    word as ASCII bytes.
 
-    Both are read off x relabelled as seen from a center c: a step is a
-    '1' iff it leads away from c, so only the steps along the path from
-    x's root to c change.  With two centers a and b, the words of (a, b)
-    and (b, a) are compared.  With one, c's branches, each the run of
-    steps from leaving c to coming back, are rotated to their least
-    order by Booth's algorithm; comparing branch words as strings orders
-    the rotations as comparing their whole words does.
+    All three are read off x relabelled as seen from a center c: a step
+    is a '1' iff it leads away from c, so only the steps along the path
+    from x's root to c change, and each rotation of the relabelled word
+    is the word of a rooting at c.  With two centers c and b, the words
+    of (c, b) and (b, c) are compared.  With one, c's branches, each the
+    run of steps from leaving c to coming back, are rotated to their
+    least order by Booth's algorithm; comparing branch words as strings
+    orders the rotations as comparing their whole words does.
     """
     adj, opens, closes = tree
     cs = _centers(adj)
@@ -187,10 +165,11 @@ def _canonical_rooting(x: str, tree: _Tree) -> tuple[int, int, int]:
         h = (j - i) % m
         t = s[:1] + s[h + 1 :] + s[h : h + 1] + s[1:h]
         if s == t:
-            return c, b, m // 2
-        return (c, b, m) if s < t else (b, c, m)
+            return i, m // 2, s
+        return (i, m, s) if s < t else (j, m, t)
     # c's neighbours in the order x steps from c to them: its children,
-    # then its parent unless c is x's root
+    # then its parent unless c is x's root; starts[i] is the corner of
+    # the rooting (c, nbs[i])
     nbs = adj[c][1:] + adj[c][:1] if c else adj[c]
     starts = [opens[w] for w in nbs]
     if c:
@@ -199,7 +178,8 @@ def _canonical_rooting(x: str, tree: _Tree) -> tuple[int, int, int]:
     s = bytes(lab)
     ss = s + s
     k = booth_min_rotation([ss[a:e] for a, e in zip(starts, ends)]) - 1
-    return c, nbs[k], ss.find(s, 1)
+    a = starts[k]
+    return a, ss.find(s, 1), ss[a : a + m]
 
 
 def canonical_root(x: str) -> str:
@@ -211,11 +191,7 @@ def canonical_root(x: str) -> str:
     separated by a symbol below '0' and '1', so comparison respects the
     plane cyclic order).  Invariant under rotation.
     """
-    if not x:
-        return ""
-    tree = _tree(x)
-    root, first, _ = _canonical_rooting(x, tree)
-    return _encode(tree[0], root, first)
+    return _canonical_rooting(x, _tree(x))[2].decode() if x else ""
 
 
 def pair_image(x: str) -> str:
@@ -297,8 +273,7 @@ def is_flip_tree(x: str) -> bool:
                     forms.append(_corner(tree, inner[0], f))
     if len(forms) == 1:
         return True  # the one rotation of x's form is x's own
-    root, first, period = _canonical_rooting(x, tree)
-    start = _corner(tree, root, first)
+    start, period, _ = _canonical_rooting(x, tree)
     m = len(x)
     chosen = min(forms, key=lambda q: (q - start) % m)
     return chosen % period == 0

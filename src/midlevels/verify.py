@@ -5,14 +5,17 @@ exponential in n by design.  Two fixed caps bound the sweeps: whole
 vertex sets up to n = FULL_GRAPH_CAP, plane-tree orbit graphs up to
 n = TREE_GRAPH_CAP; larger n raises ValueError.  Results come back as
 CheckResult rows that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
+
+A listing is checked as a flip stream replayed on the word's integer
+value, and cycles are walked a pass at a time to count their lengths:
+no vertex is stored as a string.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby, pairwise
-from operator import ne
 
 from .bitwords import build_match_table, dyck_words
 from .flipseq import (
@@ -21,7 +24,7 @@ from .flipseq import (
     pair_source_sequence,
     pair_target_sequence,
 )
-from .hamcycle import GeneratorState, total_vertices
+from .hamcycle import GeneratorState, default_start, total_vertices
 from .trees import _adjacency, canonical_root, is_flip_tree, pair_image
 
 __all__ = [
@@ -30,7 +33,6 @@ __all__ = [
     "CheckResult",
     "format_check",
     "check_listing",
-    "CycleSet",
     "two_factor",
     "check_two_factor",
     "plane_classes",
@@ -65,147 +67,129 @@ def format_check(c: CheckResult) -> str:
     return f"{line} {c.detail}" if c.detail else line
 
 
-def check_listing(n: int, listing: Iterable[str]) -> list[CheckResult]:
-    """Gray-code checks on a vertex listing.
+def check_listing(n: int, start: str, steps: Iterable[int]) -> list[CheckResult]:
+    """Gray-code checks on a listing given as its first word and the
+    1-based position flipped at each step, the form `midlevels gen
+    --format delta` writes.
 
     Verifies word shape, single-bit steps, weight alternation, and
     distinctness; when the listing has exactly the full vertex count,
-    also the cyclic closure back to the first vertex.  Duplicates are
-    counted among the well-shaped words only, on a table with one byte
-    per word of length 2n+1, indexed by the word's integer value.
+    also the cyclic closure back to the first word.  The walk is replayed
+    on the word's integer value, one XOR per step; a position outside
+    1..2n+1 is a non-unit step that leaves the word as it was.
+    Duplicates are counted among the well-shaped words only, on a table
+    with one byte per word of length 2n+1, indexed by the word's value.
+    Raises ValueError unless start is a 0/1 word of length 2n+1.
     """
     if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
-    seq = list(listing)
     size = 2 * n + 1
-    weights = [w.count("1") for w in seq]
-    results: list[CheckResult] = []
-
+    if len(start) != size or start.strip("01"):
+        raise ValueError("start is not a word of length 2n+1")
+    bit = {p: 1 << (size - p) for p in range(1, size + 1)}
     seen = bytearray(1 << size)
-    bad_shape = dup = 0
-    for w, k in zip(seq, weights):
-        if len(w) != size or w.count("0") + k != size or k not in (n, n + 1):
-            bad_shape += 1
+    v = first = int(start, 2)
+    k = v.bit_count()
+    bad_shape = 0 if n <= k <= n + 1 else 1
+    seen[v] = 1 - bad_shape
+    words = 1
+    bad_steps = bad_alt = dup = 0
+    rose = None  # whether the last unit step raised the weight
+    for p in steps:
+        words += 1
+        m = bit.get(p)
+        if m is None:
+            bad_steps += 1
+            bad_alt += 1
+            rose = None
         else:
-            i = int(w, 2)
-            dup += seen[i]
-            seen[i] = 1
-    results.append(
-        CheckResult(
-            "listing-shape",
-            n,
-            bad_shape == 0,
-            f"{len(seq)} words" if not bad_shape else f"{bad_shape} malformed",
-        )
-    )
+            v ^= m
+            up = v & m != 0
+            k += 1 if up else -1
+            bad_alt += up == rose
+            rose = up
+        if n <= k <= n + 1:
+            dup += seen[v]
+            seen[v] = 1
+        else:
+            bad_shape += 1
 
-    # sum(map(ne, a, b)) counts the positions where a and b differ
-    bad_steps = sum(1 for a, b in pairwise(seq) if sum(map(ne, a, b)) != 1)
-    bad_alt = sum(1 for j, k in pairwise(weights) if abs(j - k) != 1)
-    results.append(
-        CheckResult(
-            "listing-steps",
-            n,
-            bad_steps == 0,
-            "" if not bad_steps else f"{bad_steps} non-unit steps",
-        )
+    # each row passes on a zero count and then shows its own detail
+    rows = (
+        ("listing-shape", bad_shape, f"{words} words", "malformed"),
+        ("listing-steps", bad_steps, "", "non-unit steps"),
+        ("listing-alternation", bad_alt, "", "weight jumps"),
+        ("listing-distinct", dup, "", "duplicates"),
     )
-    results.append(
-        CheckResult(
-            "listing-alternation",
-            n,
-            bad_alt == 0,
-            "" if not bad_alt else f"{bad_alt} weight jumps",
-        )
-    )
-
-    results.append(
-        CheckResult(
-            "listing-distinct", n, dup == 0, "" if not dup else f"{dup} duplicates"
-        )
-    )
-
-    if len(seq) == total_vertices(n):
-        closes = sum(map(ne, seq[-1], seq[0])) == 1
-        results.append(
-            CheckResult(
-                "listing-closure",
-                n,
-                closes,
-                "full cycle" if closes else "last vertex not adjacent to first",
-            )
-        )
+    results = [
+        CheckResult(name, n, not bad, f"{bad} {what}" if bad else ok)
+        for name, bad, ok, what in rows
+    ]
+    if words == total_vertices(n):
+        closes = (v ^ first).bit_count() == 1
+        detail = "full cycle" if closes else "last vertex not adjacent to first"
+        results.append(CheckResult("listing-closure", n, closes, detail))
     return results
 
 
-@dataclass(frozen=True)
-class CycleSet:
-    """Disjoint cycles of the stepping rule, each rotated so its
-    lexicographically least vertex comes first."""
-
-    n: int
-    flips: bool
-    cycles: tuple[tuple[str, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles]
+def _cycle_steps(n: int) -> Iterator[int]:
+    """The flip positions of the generator's cycle from default_start(n),
+    one fewer than its vertices."""
+    state = GeneratorState(n)
+    buf = state.buffer
+    for part in state._passes(total_vertices(n) - 1):
+        # the next pass is built from the vertex this one leads to, so
+        # the buffer follows the walk before the flips are handed out
+        for p in part:
+            buf[p] ^= 1
+        yield from part
 
 
-def _anchor(verts: list[str]) -> tuple[str, ...]:
-    i = verts.index(min(verts))
-    return tuple(verts[i:] + verts[:i])
-
-
-def two_factor(n: int, flips_enabled: bool) -> CycleSet:
-    """Trace every cycle of the stepping rule over the whole vertex set.
+def two_factor(n: int, flips_enabled: bool) -> list[int]:
+    """Lengths of the cycles of the stepping rule over the whole vertex
+    set.
 
     With flips disabled the rule decomposes the vertices into one cycle
     per plane tree; with flips enabled they merge into a single cycle.
+    Every forward pass starts at z + '0' for a Dyck word z, so each
+    cycle is walked from the first such start not yet reached, and only
+    its pass lengths are summed.
     """
     if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
-    remaining = set(dyck_words(n))
-    cycles: list[tuple[str, ...]] = []
-    while remaining:
-        z = min(remaining)
-        start = z + "0"
-        remaining.discard(z)
-        state = GeneratorState(n, start, flips_enabled)
+    reached: set[str] = set()
+    lengths: list[int] = []
+    for z in dyck_words(n):
+        if z in reached:
+            continue
+        state = GeneratorState(n, z + "0", flips_enabled)
         buf = state.buffer
-        verts = [start]
+        length = 0
         # a cycle is no longer than the vertex set, so the walk returns
-        # to start before the steps run out
+        # to z + '0' before the steps run out
         for part in state._passes(total_vertices(n)):
             for p in part:
                 buf[p] ^= 1
-                verts.append(buf[1:].decode())
-            # a pass ending on top bit 0 lands on a forward pass's first
-            # vertex: the Dyck word it starts from is now seen
+            length += len(part)
+            # a pass ending on top bit 0 lands on a forward pass's start
             if buf[-1] == 48:
-                if verts[-1] == start:
-                    verts.pop()
+                y = buf[1:-1].decode()
+                if y == z:
                     break
-                remaining.discard(verts[-1][:-1])
-        cycles.append(_anchor(verts))
-    cycles.sort()
-    return CycleSet(n, flips_enabled, tuple(cycles))
+                reached.add(y)
+        lengths.append(length)
+    return lengths
 
 
-def check_two_factor(plain: CycleSet, n_classes: int) -> list[CheckResult]:
-    """Rows for the flips-off cycles: n_classes cycles covering every
-    vertex, each a whole number of rounds of 4n+2 vertices."""
-    n = plain.n
-    total = sum(plain.lengths)
-    ok = plain.count == n_classes and total == total_vertices(n)
-    detail = f"{plain.count} cycles over {total} vertices"
+def check_two_factor(n: int, lengths: list[int], n_classes: int) -> list[CheckResult]:
+    """Rows for the flips-off cycle lengths: n_classes cycles covering
+    every vertex, each a whole number of rounds of 4n+2 vertices."""
+    total = sum(lengths)
+    ok = len(lengths) == n_classes and total == total_vertices(n)
+    detail = f"{len(lengths)} cycles over {total} vertices"
     round_len = 4 * n + 2
-    rounds_ok = all(length % round_len == 0 for length in plain.lengths)
-    rounds = f"all divisible by {round_len}" if rounds_ok else str(plain.lengths)
+    rounds_ok = all(length % round_len == 0 for length in lengths)
+    rounds = f"all divisible by {round_len}" if rounds_ok else str(lengths)
     return [
         CheckResult("two-factor-count", n, ok, detail),
         CheckResult("two-factor-lengths", n, rounds_ok, rounds),
@@ -398,22 +382,18 @@ def check_six_cycles(n: int) -> list[CheckResult]:
 def run_checks(n: int) -> list[CheckResult]:
     """All structural checks for one n, each fact derived once.
 
-    The flips-on cycle is traced once, by two_factor; its one cycle is
-    both the listing behind the listing-* rows and the single-cycle
-    row.  The plane-tree classes are enumerated once, inside flip_graph,
-    and its node count is the number of flips-off cycles expected.
+    The listing-* rows replay the generator's cycle from default_start(n)
+    as a flip stream; the single-cycle row walks the flips-on cycle
+    again, counting only its length.  The plane-tree classes are
+    enumerated once, inside flip_graph, and its node count is the number
+    of flips-off cycles expected.
     """
-    joined = two_factor(n, True)
-    results = check_listing(n, joined.cycles[0])
-    # only the cycle count and lengths are read from here on: dropping
-    # the traced vertices now keeps them from sharing the memory peak
-    # with the flips-off trace
-    count, lengths = joined.count, joined.lengths
-    del joined
+    results = check_listing(n, default_start(n), _cycle_steps(n))
     g = flip_graph(n)
-    results += check_two_factor(two_factor(n, False), len(g.nodes))
-    ok = count == 1 and lengths == [total_vertices(n)]
-    detail = f"{count} cycle(s), lengths {lengths}"
+    results += check_two_factor(n, two_factor(n, False), len(g.nodes))
+    lengths = two_factor(n, True)
+    ok = lengths == [total_vertices(n)]
+    detail = f"{len(lengths)} cycle(s), lengths {lengths}"
     results.append(CheckResult("single-cycle", n, ok, detail))
     results += check_flip_graph(g)
     results += check_six_cycles(n)

@@ -96,12 +96,12 @@ def test_c3_two_factor_structure():
     ok = True
     got = {}
     for n, want in want_counts.items():
-        cs = two_factor(n, False)
-        got[n] = cs.count
-        if cs.count != want:
+        lengths = two_factor(n, False)
+        got[n] = len(lengths)
+        if len(lengths) != want:
             ok = False
         # total length and round-sized cycles, as in the two-factor-* rows
-        if not all(r.passed for r in check_two_factor(cs, want)):
+        if not all(r.passed for r in check_two_factor(n, lengths, want)):
             ok = False
     _report(
         "two-factor-structure", ok,

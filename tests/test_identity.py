@@ -146,6 +146,10 @@ TREES_SHA256 = "d345d60227920b3f48a21a8cb7238a0150871f92cde30d465a55f107c26b685f
 # of `midlevels verify --max-n 6`
 VERIFY_SHA256 = "4650778edf2313231523732f2da01f359eb83cd4cd24bbf340b6a096d0ad4a93"
 
+# sha256 of the bytes of `midlevels verify --max-n 9`, every n the full
+# vertex sweeps reach
+VERIFY_MAX_SHA256 = "9c9a31d1ad946e645a4e15563ee1649332d3dbf267e6791170daf723ab4fbcf2"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -188,3 +192,10 @@ def test_canonical_root_and_flip_tree_digest():
 def test_check_suite_digest():
     text = "".join(format_check(r) + "\n" for r in run_suite(6))
     assert _sha256(text) == VERIFY_SHA256
+
+
+def test_cli_verify_digest_through_the_cap(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--max-n", "9"]) == 0
+    assert _sha256(out.getvalue()) == VERIFY_MAX_SHA256

@@ -4,12 +4,13 @@ import tracemalloc
 
 import pytest
 
-from midlevels.hamcycle import generate, total_vertices
+from midlevels.cli import main
+from midlevels.hamcycle import default_start, total_vertices
 from midlevels.verify import (
     FULL_GRAPH_CAP,
+    _cycle_steps,
     _interleaved,
     CheckResult,
-    CycleSet,
     FlipGraph,
     check_edge_monotonicity,
     check_flip_graph,
@@ -42,83 +43,128 @@ def _by_name(results):
     return {r.name: r for r in results}
 
 
-def test_check_listing_accepts_the_real_thing():
-    results = check_listing(2, generate(2))
-    assert all(r.passed for r in results)
-    names = [r.name for r in results]
-    assert "listing-closure" in names  # full length includes closure
+def _delta(capsys, argv):
+    """Start word and flip positions parsed from `midlevels gen ...
+    --format delta`."""
+    assert main(["gen", *argv, "--format", "delta"]) == 0
+    start, *steps = capsys.readouterr().out.split()
+    return start, [int(p) for p in steps]
 
 
-def test_check_listing_partial_has_no_closure_row():
-    listing = list(generate(2, count=10))
-    results = check_listing(2, listing)
+def test_check_listing_accepts_the_real_thing(capsys):
+    for n in range(1, 6):
+        results = check_listing(n, *_delta(capsys, ["-n", str(n)]))
+        assert all(r.passed for r in results)
+        rows = _by_name(results)
+        assert "listing-closure" in rows  # full length includes closure
+        assert rows["listing-shape"].detail == f"{total_vertices(n)} words"
+
+
+def test_check_listing_partial_has_no_closure_row(capsys):
+    window = _delta(capsys, ["-n", "3", "--start", "0110010", "--count", "10"])
+    results = check_listing(3, *window)
     assert all(r.passed for r in results)
     assert "listing-closure" not in [r.name for r in results]
 
 
+def _failing(results):
+    return {r.name: r.detail for r in results if not r.passed}
+
+
 def test_check_listing_flags_malformed_words():
-    listing = list(generate(2))
-    listing[3] = "11111"
-    flagged = _by_name(check_listing(2, listing))
-    assert not flagged["listing-shape"].passed
+    # two weight-raising flips from weight 2 reach weight 4
+    assert _failing(check_listing(2, "11000", [3, 4])) == {
+        "listing-shape": "1 malformed",
+        "listing-alternation": "1 weight jumps",
+    }
 
 
-def test_check_listing_flags_bad_steps():
-    listing = list(generate(2))
-    listing[4], listing[5] = listing[5], listing[4]
-    flagged = _by_name(check_listing(2, listing))
-    assert not flagged["listing-steps"].passed
+def test_check_listing_flags_bad_steps(capsys):
+    start, steps = _delta(capsys, ["-n", "2"])
+    for p in (0, 6):
+        bad = steps[:4] + [p] + steps[4:]
+        flagged = _by_name(check_listing(2, start, bad))
+        assert not flagged["listing-steps"].passed
+        assert flagged["listing-steps"].detail == "1 non-unit steps"
 
 
-def test_check_listing_flags_duplicates():
-    listing = list(generate(2))
-    listing[7] = listing[2]
-    flagged = _by_name(check_listing(2, listing))
-    assert not flagged["listing-distinct"].passed
+def test_check_listing_flags_duplicates(capsys):
+    # flipping a position twice in a row revisits a word
+    start, steps = _delta(capsys, ["-n", "2"])
+    assert _failing(check_listing(2, start, steps[:5] + steps[4:5])) == {
+        "listing-distinct": "1 duplicates",
+    }
+
+
+def test_check_listing_flags_an_open_cycle(capsys):
+    # a full-length walk whose last step turns back instead of closing
+    start, steps = _delta(capsys, ["-n", "2"])
+    rows = _by_name(check_listing(2, start, steps[:-1] + steps[-2:-1]))
+    assert rows["listing-closure"].detail == "last vertex not adjacent to first"
+    assert not rows["listing-closure"].passed
 
 
 def test_check_listing_memory_stays_below_a_vertex_set():
-    # a set of the 48,620 words at n = 8 takes about 2 MiB beyond the
-    # listing; one byte per possible word of length 17 takes 128 KiB
-    listing = tuple(generate(8))
+    # a set of the 48,620 words at n = 8 takes about 2 MiB; one byte per
+    # possible word of length 17 takes 128 KiB, and the flips come
+    # straight from the generator, one pass at a time
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        results = check_listing(8, listing)
+        results = check_listing(8, default_start(8), _cycle_steps(8))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results)
-    assert peak < 3 << 19  # 1.5 MiB
+    assert len(results) == 5
+    assert peak < 1 << 18  # 256 KiB
 
 
 def test_check_listing_respects_the_cap():
     with pytest.raises(ValueError):
-        check_listing(FULL_GRAPH_CAP + 1, [])
+        check_listing(FULL_GRAPH_CAP + 1, "", [])
+
+
+def test_check_listing_rejects_a_malformed_start():
+    for start in ("1100", "110000", "11a00"):
+        with pytest.raises(ValueError):
+            check_listing(2, start, [])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_two_factor_without_flips(n):
-    cs = two_factor(n, False)
-    assert cs.count == PLANE_TREE_COUNTS[n]
-    assert sum(cs.lengths) == total_vertices(n)
-    assert all(length % (4 * n + 2) == 0 for length in cs.lengths)
+    lengths = two_factor(n, False)
+    assert len(lengths) == PLANE_TREE_COUNTS[n]
+    assert sum(lengths) == total_vertices(n)
+    assert all(length % (4 * n + 2) == 0 for length in lengths)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_two_factor_with_flips_is_one_cycle(n):
-    cs = two_factor(n, True)
-    assert cs.count == 1
-    assert cs.lengths == [total_vertices(n)]
+    assert two_factor(n, True) == [total_vertices(n)]
 
 
 def test_two_factor_rows_flag_a_short_cycle():
-    a, b = two_factor(3, False).cycles
-    moved = CycleSet(3, False, (a[:-1], b + a[-1:]))
-    rows = _by_name(check_two_factor(moved, 2))
+    a, b = two_factor(3, False)
+    moved = [a - 1, b + 1]
+    rows = _by_name(check_two_factor(3, moved, 2))
     assert rows["two-factor-count"].passed  # same count, same total
     assert not rows["two-factor-lengths"].passed
-    assert not _by_name(check_two_factor(moved, 3))["two-factor-count"].passed
+    assert not _by_name(check_two_factor(3, moved, 3))["two-factor-count"].passed
+
+
+def test_two_factor_memory_stays_below_the_cycles():
+    # every vertex of every cycle as a string would take 3.65 MB at
+    # n = 8; only the Dyck words already reached are kept
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lengths = two_factor(8, False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(lengths) == total_vertices(8)
+    assert peak < 1 << 19  # 512 KiB
 
 
 def test_two_factor_respects_the_cap():
