@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TextIO
@@ -18,8 +18,9 @@ from typing import TextIO
 from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
 from .verify import FULL_GRAPH_CAP, format_check, run_checks
 
-# Bytes per `gen --format bits` write, but at least one line: the memory
-# stays O(n) however long a pass is, and short lines take few writes.
+# Bytes per `gen` write, in either format, but at least one line: the
+# memory stays O(n) however long a pass is, and short lines take few
+# writes.  Writes much larger than this were slower at n = 500.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -109,6 +110,43 @@ def _piped_stdout() -> Iterator[TextIO]:
         os.close(devnull)
 
 
+def _text_chunks(
+    state: GeneratorState,
+    count: int,
+    emit: Callable[[bytearray, list[int]], None],
+    width: int,
+) -> Iterator[str]:
+    """The state's vertex, the lines emit appends for the flips of the
+    next count - 1 steps, and the last line's newline, as text chunks.
+
+    Each line starts with the newline that ends the line before it and
+    takes at most width bytes.  The lines gather in one chunk across pass
+    ends, and a chunk ends once it has no room for another line within
+    _CHUNK_BYTES; it takes at least one line.  The first chunk ends with
+    the first pass at the latest.
+    """
+    limit = _CHUNK_BYTES
+    chunk = bytearray(state.vertex(), "ascii")
+    first = True
+    for part in state._passes(count - 1):
+        i = 0
+        while len(chunk) + width * (len(part) - i) > limit:
+            # the rest of the pass may not fit: add the lines that surely do
+            j = i + max(1, (limit - len(chunk)) // width)
+            emit(chunk, part[i:j])
+            i = j
+            if len(chunk) + width > limit:
+                yield chunk.decode()
+                chunk = bytearray()
+        emit(chunk, part[i:] if i else part)
+        if first or len(chunk) + width > limit:
+            yield chunk.decode()
+            chunk = bytearray()
+            first = False
+    chunk += b"\n"
+    yield chunk.decode()
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: -n must be at least 1", file=sys.stderr)
@@ -123,30 +161,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     buf = state.buffer
+    if args.format == "bits":
+        # The generator never reads the buffer's sentinel byte, so as
+        # "\n" it ends the previous line: after each flip the buffer is
+        # one whole line, and one append adds it to the chunk.
+        buf[0] = 10
+        width = len(buf)
+
+        def emit(chunk: bytearray, flips: list[int]) -> None:
+            for p in flips:
+                buf[p] ^= 1
+                chunk += buf
+
+    else:
+        line = [b"\n%d" % p for p in range(len(buf))]
+        width = len(line[-1])
+
+        def emit(chunk: bytearray, flips: list[int]) -> None:
+            # the buffer still follows the walk, because each pass is
+            # built from the vertex it starts at
+            for p in flips:
+                buf[p] ^= 1
+            chunk += b"".join(map(line.__getitem__, flips))
+
     with _piped_stdout() as out:
-        if args.format == "bits":
-            # The generator never reads the buffer's sentinel byte, so as
-            # "\n" it ends the previous line: each step appends one whole
-            # line to the chunk, and the last line's newline comes after.
-            out.write(state.vertex())
-            buf[0] = 10
-            lines = max(1, _CHUNK_BYTES // len(buf))
-            for part in state._passes(count - 1):
-                for i in range(0, len(part), lines):
-                    chunk = bytearray()
-                    for p in part[i : i + lines]:
-                        buf[p] ^= 1
-                        chunk += buf
-                    out.write(chunk.decode())
-            out.write("\n")
-        else:
-            out.write(state.vertex() + "\n")
-            # one write per pass; the buffer still follows the walk,
-            # because each pass is built from the vertex it starts at
-            for part in state._passes(count - 1):
-                for p in part:
-                    buf[p] ^= 1
-                out.write("\n".join(map(str, part)) + "\n")
+        chunks = _text_chunks(state, count, emit, width)
+        # flushed at once, so that a reader gets the first line without
+        # waiting for a full chunk
+        out.write(next(chunks))
+        out.flush()
+        for text in chunks:
+            out.write(text)
     return 0
 
 

@@ -70,17 +70,17 @@ def test_gen_flips_off_walks_the_short_cycle(capsys):
     assert len(set(out[:42])) == 42
 
 
-def _cursor_walks(n):
-    """(counts, start, vertices, flips) for every start at n, stepped
-    with the public cursor as far as the largest count."""
+def _cursor_walks(n, every=1):
+    """(counts, start, vertices, flips) for every start at n (or every
+    every-th one), stepped with the public cursor as far as the largest
+    count."""
     # every count up to two rounds past the start's pass end (it ends
     # within 2n+1 steps), and one count that wraps the cycle
     counts = [*range(1, 10 * n + 7), total_vertices(n) + 4 * n + 3]
     size = 2 * n + 1
-    for i in range(2**size):
-        start = format(i, f"0{size}b")
-        if start.count("1") not in (n, n + 1):
-            continue
+    words = (format(i, f"0{size}b") for i in range(2**size))
+    starts = [w for w in words if w.count("1") in (n, n + 1)]
+    for start in starts[::every]:
         state = GeneratorState(n, start)
         verts, flips = [start], []
         for _ in range(max(counts) - 1):
@@ -88,6 +88,13 @@ def _cursor_walks(n):
             verts.append(state.vertex())
             flips.append(state.last_flip)
         yield counts, start, verts, flips
+
+
+def _expected(fmt, start, verts, flips, count):
+    """gen's output for the first count vertices of a cursor walk."""
+    if fmt == "bits":
+        return "".join(f"{v}\n" for v in verts[:count])
+    return f"{start}\n" + "".join(f"{p}\n" for p in flips[: count - 1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -101,50 +108,118 @@ def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
                 args.count = count
                 assert cli._cmd_gen(args) == 0
                 out = capsys.readouterr().out
-                if fmt == "bits":
-                    assert out == "".join(f"{v}\n" for v in verts[:count])
-                else:
-                    rest = "".join(f"{p}\n" for p in flips[: count - 1])
-                    assert out == f"{start}\n" + rest
+                assert out == _expected(fmt, start, verts, flips, count)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_gen_bits_chunks_cut_anywhere_in_a_pass(n, capsys, monkeypatch):
-    # A default chunk holds a whole pass at these n.  Chunks of one line
-    # and of three lines (a line is 2n+2 bytes) end inside passes and at
-    # pass ends, and a count can stop the walk at any of those places.
-    walks = list(_cursor_walks(n))
-    for chunk_bytes in (1, 3 * (2 * n + 2)):
-        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
-        for counts, start, verts, _ in walks:
-            args = cli._build_parser().parse_args(
-                ["gen", "-n", str(n), "--start", start]
-            )
+def _check_chunks_cut_anywhere(n, fmt, capsys, monkeypatch, every=1):
+    # A default chunk holds all of these walks but their first pass.
+    # Chunks of one byte (so of one line), of one line and of three
+    # lines end inside passes and at pass ends; a chunk that fills up
+    # exactly at the end of the second pass leaves the next one empty.
+    # A count can stop the walk at any of those places.
+    size = 2 * n + 1
+
+    def line_bytes(p):
+        return size + 1 if fmt == "bits" else len(f"\n{p}")
+
+    width = line_bytes(size)
+    for counts, start, verts, flips in _cursor_walks(n, every):
+        ends = [k for k, p in enumerate(flips) if p == size]
+        second = flips[ends[0] + 1 : ends[1] + 1]
+        at_pass_end = sum(map(line_bytes, second)) + width - 1
+        args = cli._build_parser().parse_args(
+            ["gen", "-n", str(n), "--start", start, "--format", fmt]
+        )
+        for chunk_bytes in (1, width, 3 * width, at_pass_end):
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
             for count in counts:
                 args.count = count
                 assert cli._cmd_gen(args) == 0
                 out = capsys.readouterr().out
-                assert out == "".join(f"{v}\n" for v in verts[:count])
+                assert out == _expected(fmt, start, verts, flips, count)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_bits_chunks_cut_anywhere_in_a_pass(n, capsys, monkeypatch):
+    _check_chunks_cut_anywhere(n, "bits", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_delta_chunks_cut_anywhere_in_a_pass(n, capsys, monkeypatch):
+    _check_chunks_cut_anywhere(n, "delta", capsys, monkeypatch)
+
+
+def test_gen_delta_chunks_hold_lines_of_two_widths(capsys, monkeypatch):
+    # from n = 5 on, positions past 9 take one byte more; every 37th of
+    # the 924 starts keeps the run short
+    _check_chunks_cut_anywhere(5, "delta", capsys, monkeypatch, every=37)
+
+
+class _WriteLog:
+    """A stdout that logs its write and flush calls, each write's text
+    or, to keep memory small, only its length."""
+
+    def __init__(self, keep_text=True):
+        self.calls = []
+        self.keep_text = keep_text
+
+    def write(self, text):
+        self.calls.append(("write", text if self.keep_text else len(text)))
+
+    def flush(self):
+        self.calls.append(("flush", None))
+
+    @property
+    def writes(self):
+        return [arg for call, arg in self.calls if call == "write"]
+
+
+@pytest.mark.parametrize("fmt", ["bits", "delta"])
+@pytest.mark.parametrize("n", [3, 500])
+def test_gen_flushes_the_first_line_before_writing_more(n, fmt, monkeypatch):
+    # a reader waiting on the first line gets it before the rest is built
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["gen", "-n", str(n), "--count", "3000", "--format", fmt]) == 0
+    start = "1" * n + "0" * (n + 1)
+    assert log.calls[0][0] == "write"
+    assert log.calls[0][1].startswith(start + "\n")
+    assert log.calls[1] == ("flush", None)
+    assert len(log.writes) > 1
+
+
+def _traced_peak(argv, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _WriteLog(keep_text=False))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_gen_bits_memory_stays_o_n_at_large_n(monkeypatch):
     # Bounded chunks keep the output's working set near 64 KiB even
     # though one pass at n = 500 is up to about 1 MB of text.
-    class Discard:
-        def write(self, _text):
-            return None
+    argv = ["gen", "-n", "500", "--count", "3000"]
+    assert _traced_peak(argv, monkeypatch) < 1 << 20
 
-        def flush(self):
-            return None
 
-    monkeypatch.setattr(sys, "stdout", Discard())
-    tracemalloc.start()
-    try:
-        assert main(["gen", "-n", "500", "--count", "3000"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+def test_gen_delta_memory_stays_o_n_at_large_n(monkeypatch):
+    argv = ["gen", "-n", "500", "--count", "3000", "--format", "delta"]
+    assert _traced_peak(argv, monkeypatch) < 1 << 20
+
+
+@pytest.mark.parametrize("fmt", ["bits", "delta"])
+def test_gen_writes_full_chunks_across_pass_ends(fmt, monkeypatch):
+    # one write per 64 KiB, plus the short first pass and the last chunk
+    log = _WriteLog(keep_text=False)
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["gen", "-n", "9", "--format", fmt]) == 0
+    sizes = log.writes
+    assert max(sizes) <= cli._CHUNK_BYTES
+    assert len(sizes) <= -(-sum(sizes) // cli._CHUNK_BYTES) + 2
 
 
 def test_gen_rejects_bad_n(capsys):
@@ -233,6 +308,11 @@ def test_run_benchmark_result_is_consistent():
     "argv, first_line",
     [
         pytest.param(["gen", "-n", "9"], b"1" * 9 + b"0" * 10 + b"\n", id="gen"),
+        pytest.param(
+            ["gen", "-n", "9", "--format", "delta"],
+            b"1" * 9 + b"0" * 10 + b"\n",
+            id="gen-delta",
+        ),
         pytest.param(
             ["verify", "--max-n", "6"],
             b"CHECK listing-shape n=1 PASS 6 words\n",
