@@ -15,13 +15,10 @@ exchange is the splice the full generator uses to join cycles.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 __all__ = [
     "flip_sequence",
     "pair_source_sequence",
     "pair_target_sequence",
-    "apply_flips",
 ]
 
 _ZERO = ord("0")
@@ -95,17 +92,3 @@ def pair_target_sequence(y: str) -> list[int]:
         raise ValueError("not in tau image")
     run = _run_flips(y, 3)
     return [run[0], 1, 2, 3, 1, 2] + run[2:]
-
-
-def apply_flips(x: str, seq: Sequence[int]) -> list[str]:
-    """Full vertex listing of the walk: x, then one word per flip."""
-    words = [x]
-    cur = list(x)
-    size = len(cur)
-    for p in seq:
-        if not 1 <= p <= size:
-            raise ValueError("position out of bounds")
-        i = p - 1
-        cur[i] = "0" if cur[i] == "1" else "1"
-        words.append("".join(cur))
-    return words

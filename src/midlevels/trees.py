@@ -23,12 +23,9 @@ tree's rotational period, the least p > 0 whose p-th rotation is x.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .bitwords import is_dyck_word
 
 __all__ = [
-    "booth_min_rotation",
     "canonical_root",
     "pair_image",
     "pair_preimage",
@@ -71,11 +68,6 @@ def _tree(x: str) -> _Tree:
     return adj, opens, closes
 
 
-def _adjacency(x: str) -> list[list[int]]:
-    """The cyclic adjacency of x's plane tree (see `_tree`)."""
-    return _tree(x)[0]
-
-
 def _corner(tree: _Tree, u: int, w: int) -> int:
     """Tour position of the rooting (u, w): where x steps from u to w."""
     adj, opens, closes = tree
@@ -101,36 +93,6 @@ def _centers(adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
-def booth_min_rotation(seq: Sequence[int]) -> int:
-    """1-based start index of the lexicographically least rotation.
-
-    Failure-function variant, linear time; ties resolve to the smallest
-    index.  Works for any comparable symbols, in particular the branch
-    words used to canonicalize center-rooted trees.
-    """
-    s = list(seq)
-    n = len(s)
-    if n == 0:
-        raise ValueError("empty sequence")
-    ss = s + s
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = ss[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != ss[k + i + 1]:
-            if sj < ss[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != ss[k + i + 1]:
-            if sj < ss[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k + 1
-
-
 def _canonical_rooting(
     x: str, tree: _Tree
 ) -> tuple[int, int, bytes | bytearray]:
@@ -142,10 +104,12 @@ def _canonical_rooting(
     is a '1' iff it leads away from c, so only the steps along the path
     from x's root to c change, and each rotation of the relabelled word
     is the word of a rooting at c.  With two centers c and b, the words
-    of (c, b) and (b, c) are compared.  With one, c's branches, each the
-    run of steps from leaving c to coming back, are rotated to their
-    least order by Booth's algorithm; comparing branch words as strings
-    orders the rotations as comparing their whole words does.
+    of (c, b) and (b, c) are compared.  With one, the rotations that
+    start where x leaves c are compared as whole words, and the least
+    one, first on ties, is taken.  Each such word is the sequence of c's
+    branch words, a branch being the run of steps from leaving c to
+    coming back; branch words are balanced, so none is a prefix of
+    another, and whole words order as their branch sequences do.
     """
     adj, opens, closes = tree
     cs = _centers(adj)
@@ -174,11 +138,9 @@ def _canonical_rooting(
     starts = [opens[w] for w in nbs]
     if c:
         starts[-1] = closes[c]
-    ends = starts[1:] + [starts[0] + m]
     s = bytes(lab)
     ss = s + s
-    k = booth_min_rotation([ss[a:e] for a, e in zip(starts, ends)]) - 1
-    a = starts[k]
+    a = min(starts, key=lambda a: ss[a : a + m])
     return a, ss.find(s, 1), ss[a : a + m]
 
 
@@ -186,10 +148,9 @@ def canonical_root(x: str) -> str:
     """One fixed rooted encoding of x's plane tree.
 
     Rooted at the tree's center: with two centers, the smaller of the two
-    encodings that put one center on top of the other; with one center,
-    the center's subtree list is rotated to its least position (subtrees
-    separated by a symbol below '0' and '1', so comparison respects the
-    plane cyclic order).  Invariant under rotation.
+    words that put one center on top of the other; with one center, the
+    least of the words rooted at the center, that is, the center's
+    branches in their least cyclic order.  Invariant under rotation.
     """
     return _canonical_rooting(x, _tree(x))[2].decode() if x else ""
 

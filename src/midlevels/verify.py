@@ -6,26 +6,22 @@ vertex sets up to n = FULL_GRAPH_CAP, plane-tree orbit graphs up to
 n = TREE_GRAPH_CAP; larger n raises ValueError.  Results come back as
 CheckResult rows that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
 
-A listing is checked as a flip stream replayed on the word's integer
-value, and cycles are walked a pass at a time to count their lengths:
-no vertex is stored as a string.
+Walks are replayed as flip lists on the word's integer value: the
+listing as a stream, each path and six-cycle as its edges, (lower word,
+position).  Cycles are walked a pass at a time to count their lengths.
+No vertex is stored as a string.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import groupby, pairwise
+from itertools import groupby
 
-from .bitwords import build_match_table, dyck_words
-from .flipseq import (
-    apply_flips,
-    flip_sequence,
-    pair_source_sequence,
-    pair_target_sequence,
-)
+from .bitwords import dyck_words
+from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .hamcycle import GeneratorState, default_start, total_vertices
-from .trees import _adjacency, canonical_root, is_flip_tree, pair_image
+from .trees import _tree, canonical_root, is_flip_tree, pair_image
 
 __all__ = [
     "FULL_GRAPH_CAP",
@@ -132,17 +128,23 @@ def check_listing(n: int, start: str, steps: Iterable[int]) -> list[CheckResult]
     return results
 
 
-def _cycle_steps(n: int) -> Iterator[int]:
-    """The flip positions of the generator's cycle from default_start(n),
-    one fewer than its vertices."""
-    state = GeneratorState(n)
+def _cycle_steps(state: GeneratorState) -> Iterator[int]:
+    """The flip positions of the next N - 1 steps of state's walk, one
+    fewer than the vertices of a full cycle, N = total_vertices(state.n).
+
+    The state takes one more step, which the stream does not show: once
+    the stream is spent, state.buffer holds the vertex that step lands
+    on, the start again if the walk is one cycle through every vertex.
+    """
     buf = state.buffer
-    for part in state._passes(total_vertices(n) - 1):
+    left = total_vertices(state.n) - 1
+    for part in state._passes(left + 1):
         # the next pass is built from the vertex this one leads to, so
         # the buffer follows the walk before the flips are handed out
         for p in part:
             buf[p] ^= 1
-        yield from part
+        yield from part[:left]
+        left -= len(part)
 
 
 def two_factor(n: int, flips_enabled: bool) -> list[int]:
@@ -250,7 +252,7 @@ def tree_signature(x: str) -> tuple[int, int, int]:
     """(leaves, non-terminal leaves, max degree) of x's plane tree;
     strictly increases in lexicographic order along every flip-graph
     arc."""
-    adj = _adjacency(x)
+    adj = _tree(x)[0]
     deg = [len(a) for a in adj]
     leaves = [v for v, d in enumerate(deg) if d == 1]
     if len(leaves) == len(adj):
@@ -294,29 +296,28 @@ def check_flip_graph(g: FlipGraph) -> list[CheckResult]:
     ]
 
 
-def _path_edges(verts: list[str]) -> list[frozenset[str]]:
-    return [frozenset(e) for e in pairwise(verts)]
+def _walk(x: str, flips: Iterable[int]) -> tuple[list[tuple[int, int]], int]:
+    """The edges of the walk from x along flips, each as (lower word,
+    position), and the word it ends on; words as their integer values."""
+    size = len(x)
+    v = int(x, 2)
+    edges = []
+    for p in flips:
+        m = 1 << (size - p)
+        edges.append((v & ~m, p))
+        v ^= m
+    return edges, v
 
 
-def _six_cycle(x: str) -> set[frozenset[str]]:
-    # the six words agreeing with x = 110w0v outside positions 2, 3 and
-    # the closer of position 1, in single-flip cyclic order
-    b = build_match_table(x)[1]
-    w, v = x[3 : b - 1], x[b:]
-    combos = [
-        ("1", "0", "0"),
-        ("1", "0", "1"),
-        ("0", "0", "1"),
-        ("0", "1", "1"),
-        ("0", "1", "0"),
-        ("1", "1", "0"),
-    ]
-    verts = ["1" + s2 + s3 + w + sb + v for s2, s3, sb in combos]
-    return {frozenset((verts[i], verts[(i + 1) % 6])) for i in range(6)}
+def _six_cycle(x: str) -> list[tuple[int, int]]:
+    # x = 110w0v with position 1 closing at b: flipping b, 2, 3 twice
+    # runs once round the six words that agree with x outside 2, 3, b
+    b = flip_sequence(x)[0]
+    return _walk(x, [b, 2, 3] * 2)[0]
 
 
 def _interleaved(
-    edges: list[frozenset[str]], c6_of_edge: dict[frozenset[str], int]
+    edges: list[tuple[int, int]], c6_of_edge: dict[tuple[int, int], int]
 ) -> bool:
     """Whether the edges two six-cycles borrow from one path interleave:
     read in path order, some six-cycle's edges do not form one run."""
@@ -340,7 +341,7 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     sources = [x for x in words if x[:3] == "110"]
     cycles = [_six_cycle(x) for x in sources]
     disjoint_ok = True
-    c6_of_edge: dict[frozenset[str], int] = {}
+    c6_of_edge: dict[tuple[int, int], int] = {}
     for idx, c6 in enumerate(cycles):
         for e in c6:
             if e in c6_of_edge:
@@ -353,22 +354,19 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     endpoints_ok = symdiff_ok = nesting_ok = True
     for x, c6 in zip(sources, cycles):
         y = pair_image(x)
-        basic_x = apply_flips(x, flip_sequence(x))
-        basic_y = apply_flips(y, flip_sequence(y))
-        mod_x = apply_flips(x, pair_source_sequence(x))
-        mod_y = apply_flips(y, pair_target_sequence(y))
-        if mod_x[-1] != basic_y[-1] or mod_y[-1] != basic_x[-1]:
+        edges_x, end_x = _walk(x, flip_sequence(x))
+        edges_y, end_y = _walk(y, flip_sequence(y))
+        mod_x, mod_end_x = _walk(x, pair_source_sequence(x))
+        mod_y, mod_end_y = _walk(y, pair_target_sequence(y))
+        if mod_end_x != end_y or mod_end_y != end_x:
             endpoints_ok = False
-        edges_x, edges_y = _path_edges(basic_x), _path_edges(basic_y)
-        mod_edges = {*_path_edges(mod_x), *_path_edges(mod_y)}
-        if {*edges_x, *edges_y} ^ c6 != mod_edges:
+        if {*edges_x, *edges_y} ^ {*c6} != {*mod_x, *mod_y}:
             symdiff_ok = False
         if _interleaved(edges_x, c6_of_edge) or _interleaved(edges_y, c6_of_edge):
             nesting_ok = False
     for z in words:
         if z[:3] not in ("110", "101"):
-            edges = _path_edges(apply_flips(z, flip_sequence(z)))
-            if _interleaved(edges, c6_of_edge):
+            if _interleaved(_walk(z, flip_sequence(z))[0], c6_of_edge):
                 nesting_ok = False
 
     return [
@@ -383,15 +381,25 @@ def run_checks(n: int) -> list[CheckResult]:
     """All structural checks for one n, each fact derived once.
 
     The listing-* rows replay the generator's cycle from default_start(n)
-    as a flip stream; the single-cycle row walks the flips-on cycle
-    again, counting only its length.  The plane-tree classes are
-    enumerated once, inside flip_graph, and its node count is the number
-    of flips-off cycles expected.
+    as a flip stream, and the same walk gives the single-cycle row: when
+    every listing row passes at full length and the walk's next step
+    lands on the start again, its N distinct vertices are one cycle of
+    the stepping rule, N the vertex count.  Otherwise the flips-on
+    cycles are walked again to report their lengths.  The plane-tree
+    classes are enumerated once, inside flip_graph, and its node count
+    is the number of flips-off cycles expected.
     """
-    results = check_listing(n, default_start(n), _cycle_steps(n))
+    start = default_start(n)
+    state = GeneratorState(n)
+    results = check_listing(n, start, _cycle_steps(state))
+    closed = (
+        results[-1].name == "listing-closure"
+        and all(r.passed for r in results)
+        and state.vertex() == start
+    )
     g = flip_graph(n)
     results += check_two_factor(n, two_factor(n, False), len(g.nodes))
-    lengths = two_factor(n, True)
+    lengths = [total_vertices(n)] if closed else two_factor(n, True)
     ok = lengths == [total_vertices(n)]
     detail = f"{len(lengths)} cycle(s), lengths {lengths}"
     results.append(CheckResult("single-cycle", n, ok, detail))

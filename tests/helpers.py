@@ -112,6 +112,18 @@ def full_table_flip_sequence(x: str, start: int = 1) -> list[int]:
     return [b, start] + nested(start + 1, b - 1)
 
 
+def apply_flips(x: str, seq: list[int]) -> list[str]:
+    """Full vertex listing of the walk: x, then one word per flip."""
+    words = [x]
+    cur = list(x)
+    for p in seq:
+        if not 1 <= p <= len(cur):
+            raise ValueError("position out of bounds")
+        cur[p - 1] = "0" if cur[p - 1] == "1" else "1"
+        words.append("".join(cur))
+    return words
+
+
 def backward_pass_by_decomposition(y: str) -> list[int]:
     """Flip list of the backward pass that starts at vertex y + '1', for
     a near-Dyck word y: split y = u01v, mirror the basic path from
@@ -120,14 +132,6 @@ def backward_pass_by_decomposition(y: str) -> list[int]:
     g = "1" + rev_complement(v) + "0" + rev_complement(u)
     size = len(y) + 1
     return [size - q for q in reversed(full_table_flip_sequence(g))] + [size]
-
-
-def brute_min_rotation(seq) -> int:
-    """1-based index of the least rotation, smallest index on ties."""
-    items = list(seq)
-    n = len(items)
-    rots = [(items[i:] + items[:i], i + 1) for i in range(n)]
-    return min(rots)[1]
 
 
 def adjacency_from_word(x: str) -> list[list[int]]:

@@ -4,7 +4,6 @@ import pytest
 
 from midlevels.bitwords import dyck_words
 from midlevels.flipseq import (
-    apply_flips,
     flip_sequence,
     pair_source_sequence,
     pair_target_sequence,
@@ -12,6 +11,7 @@ from midlevels.flipseq import (
 from midlevels.trees import pair_image, pair_preimage
 
 from helpers import (
+    apply_flips,
     brute_class,
     decompose_dyck,
     full_table_flip_sequence,

@@ -1,16 +1,12 @@
 from __future__ import annotations
 
-import random
-from itertools import product
-
 import pytest
 
 from midlevels.bitwords import dyck_words
 from midlevels.trees import (
-    _adjacency,
     _centers,
     _shape,
-    booth_min_rotation,
+    _tree,
     canonical_root,
     is_flip_tree,
     pair_image,
@@ -20,7 +16,6 @@ from midlevels.trees import (
 from helpers import (
     adjacency_from_word,
     brute_centers,
-    brute_min_rotation,
     rotate,
     rotation_orbit,
 )
@@ -37,19 +32,19 @@ def _is_star(adj: list[list[int]]) -> bool:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tree_roundtrip(n):
     for x in dyck_words(n):
-        assert _adjacency(x) == adjacency_from_word(x)
+        assert _tree(x)[0] == adjacency_from_word(x)
 
 
 def test_adjacency_rejects_non_dyck():
     for bad in ["01", "1010101", "0011", "1", "1a", "1 0", "1a10"]:
         with pytest.raises(ValueError):
-            _adjacency(bad)
+            _tree(bad)
         with pytest.raises(ValueError):
             canonical_root(bad)
 
 
 def test_tree_counts():
-    adj = _adjacency("110100")
+    adj = _tree("110100")[0]
     assert len(adj) == 4  # vertices
     assert sum(map(len, adj)) == 2 * 3  # each of the 3 edges twice
 
@@ -76,35 +71,10 @@ def test_rotation_orbit(n):
         assert y == x
 
 
-def test_booth_golden_vectors():
-    assert booth_min_rotation([0, 0, 1, 1]) == 1
-    assert booth_min_rotation([1, 0]) == 2
-    assert booth_min_rotation([-1, 1, 1, 0, 0, -1, 1, 0]) == 6
-
-
-def test_booth_exhaustive_small():
-    for k in range(1, 7):
-        for seq in product((-1, 0, 1), repeat=k):
-            assert booth_min_rotation(seq) == brute_min_rotation(seq)
-
-
-def test_booth_random_long():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        k = rng.randint(1, 64)
-        seq = [rng.randint(-2, 2) for _ in range(k)]
-        assert booth_min_rotation(seq) == brute_min_rotation(seq)
-
-
-def test_booth_rejects_empty():
-    with pytest.raises(ValueError):
-        booth_min_rotation([])
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_centers_against_eccentricity_oracle(n):
     for x in dyck_words(n):
-        assert _centers(_adjacency(x)) == brute_centers(adjacency_from_word(x))
+        assert _centers(_tree(x)[0]) == brute_centers(adjacency_from_word(x))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -148,7 +118,7 @@ def test_tree_shape_against_degree_oracle(n):
         thin = any(
             len(a) == 1 and len(adj[a[0]]) == 2 for a in adj
         )
-        assert _shape(_adjacency(x)) == (_is_star(adj), thin)
+        assert _shape(_tree(x)[0]) == (_is_star(adj), thin)
 
 
 def test_is_flip_tree_examples():

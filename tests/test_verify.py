@@ -4,12 +4,15 @@ import tracemalloc
 
 import pytest
 
+from midlevels import verify
 from midlevels.cli import main
-from midlevels.hamcycle import default_start, total_vertices
+from midlevels.flipseq import flip_sequence
+from midlevels.hamcycle import GeneratorState, default_start, total_vertices
 from midlevels.verify import (
     FULL_GRAPH_CAP,
     _cycle_steps,
     _interleaved,
+    _six_cycle,
     CheckResult,
     FlipGraph,
     check_edge_monotonicity,
@@ -21,12 +24,13 @@ from midlevels.verify import (
     format_check,
     is_spanning_tree,
     plane_classes,
+    run_checks,
     run_suite,
     tree_signature,
     two_factor,
 )
 
-from helpers import rotation_orbit
+from helpers import apply_flips, rotation_orbit
 
 PLANE_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 14}
 
@@ -111,7 +115,7 @@ def test_check_listing_memory_stays_below_a_vertex_set():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        results = check_listing(8, default_start(8), _cycle_steps(8))
+        results = check_listing(8, default_start(8), _cycle_steps(GeneratorState(8)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -244,6 +248,32 @@ def test_six_cycle_checks(n):
     assert all(r.passed for r in check_six_cycles(n))
 
 
+def test_six_cycle_rows_fail_on_a_wrong_target_rule(monkeypatch):
+    # the target walking its basic path keeps both endpoints and borrows
+    # no six-cycle
+    monkeypatch.setattr(verify, "pair_target_sequence", flip_sequence)
+    for n in range(2, 6):
+        failing = _failing(check_six_cycles(n))
+        assert {"six-cycle-endpoints", "six-cycle-symdiff"} <= failing.keys()
+
+
+def test_six_cycle_flip_list_runs_round_the_six_words():
+    # x = 110w0v with w = 10, v = 1010 and position 1 closing at b = 6
+    x = "1101001010"
+    b = flip_sequence(x)[0]
+    assert b == 6
+    w, v = x[3 : b - 1], x[b:]
+    combos = [("1", "0", "0"), ("1", "0", "1"), ("0", "0", "1"),
+              ("0", "1", "1"), ("0", "1", "0"), ("1", "1", "0")]
+    words = ["1" + s2 + s3 + w + sb + v for s2, s3, sb in combos]
+    walk = apply_flips(x, [b, 2, 3, b, 2, 3])
+    assert walk == words + [x]
+    # each edge is its lower word and the position it flips
+    flips = [b, 2, 3] * 2
+    lower = [min(int(s, 2), int(t, 2)) for s, t in zip(walk, walk[1:])]
+    assert _six_cycle(x) == list(zip(lower, flips))
+
+
 def test_interleaved_six_cycle_edges_are_flagged():
     # edges a..e of one path; c6 maps the borrowed ones to their cycle
     path = ["a", "b", "c", "d", "e"]
@@ -256,6 +286,47 @@ def test_interleaved_six_cycle_edges_are_flagged():
 def test_six_cycle_cap():
     with pytest.raises(ValueError):
         check_six_cycles(10)
+
+
+def _spy_two_factor(monkeypatch, flips_on_allowed):
+    calls = []
+
+    def spy(n, flips_enabled):
+        if flips_enabled and not flips_on_allowed:
+            raise AssertionError("the flips-on cycle was walked again")
+        calls.append((n, flips_enabled))
+        return two_factor(n, flips_enabled)
+
+    monkeypatch.setattr(verify, "two_factor", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_run_checks_walks_the_flips_on_cycle_once(monkeypatch, n):
+    _spy_two_factor(monkeypatch, flips_on_allowed=False)
+    rows = _by_name(run_checks(n))
+    assert all(r.passed for r in rows.values())
+    lengths = f"lengths [{total_vertices(n)}]"
+    assert rows["single-cycle"].detail == f"1 cycle(s), {lengths}"
+
+
+def test_single_cycle_row_falls_back_when_the_listing_fails(monkeypatch):
+    calls = _spy_two_factor(monkeypatch, flips_on_allowed=True)
+
+    def corrupted(state):
+        steps = list(_cycle_steps(state))
+        steps[5] = steps[5] % (2 * state.n + 1) + 1
+        return iter(steps)
+
+    monkeypatch.setattr(verify, "_cycle_steps", corrupted)
+    n = 3
+    rows = _by_name(run_checks(n))
+    listing = [r for name, r in rows.items() if name.startswith("listing-")]
+    assert not all(r.passed for r in listing)
+    assert (n, True) in calls
+    single = rows["single-cycle"]
+    assert single.passed
+    assert single.detail == f"1 cycle(s), lengths [{total_vertices(n)}]"
 
 
 def test_run_suite_small():
