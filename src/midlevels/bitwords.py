@@ -55,10 +55,10 @@ def build_match_table(x: str | bytes | bytearray) -> list[int]:
     """Pair every 1 of a Dyck word with the 0 that closes it.
 
     Returns a table of length len(x)+1 where table[p] is the 1-based
-    position paired with position p; index 0 is an unused sentinel.  The
-    table of a word is reused unchanged for all nested subranges, so the
-    sequence emitters never rebuild it.  Raises ValueError unless x is a
-    Dyck word.
+    position paired with position p; index 0 is an unused sentinel.
+    Raises ValueError unless x is a Dyck word.  Nothing in the package
+    calls it; it stays because the benchmark's tracer wraps it by name,
+    until the tracer's list of names drops it.
     """
     codes: bytes | bytearray = x.encode() if isinstance(x, str) else x
     if codes.count(_ZERO) + codes.count(_ONE) != len(codes):

@@ -14,15 +14,16 @@ O(n).  The package's own drivers take the walk a pass at a time, as flip
 lists to apply to the buffer; the public cursor steps one vertex per
 call.
 
-`GeneratorState` can start at any vertex: the constructor finds the
-pass that owns the start vertex, builds it as a boundary would, and
-resumes at the start's place in it, so every start yields the same
-cyclic listing, merely rotated.
+`GeneratorState` can start at any vertex.  One decomposition of the
+start vertex gives both the first vertex of the basic path through it
+and its step index on that path; the constructor builds the pass from
+that first vertex as a boundary would and sets its cursor at that
+index, so every start yields the same cyclic listing, merely rotated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from itertools import accumulate
 from math import comb
 
@@ -54,13 +55,14 @@ def default_start(n: int) -> str:
     return "1" * n + "0" * (n + 1)
 
 
-def path_first_vertex(z: str) -> str:
-    """First vertex of the basic path through z.
+def path_first_vertex(z: str) -> tuple[str, int]:
+    """First vertex of the basic path through z, and z's place on it.
 
-    z is a word of length 2n and weight n or n+1.  The result y is the
-    Dyck word whose walk under flip_sequence visits z; the map is
-    computed directly from z's lattice path, splitting on the weight and
-    on whether the minimum level is touched once or more than once.
+    z is a word of length 2n and weight n or n+1.  The result is (y, t):
+    y is the Dyck word whose walk under flip_sequence visits z, and z is
+    the word after the first t flips of that walk.  Both are computed
+    directly from z's lattice path, splitting on the weight and on
+    whether the minimum level is touched once or more than once.
     """
     n2 = len(z)
     if n2 == 0 or n2 % 2 or z.strip("01"):
@@ -128,6 +130,13 @@ def path_first_vertex(z: str) -> str:
         prev = ascend(range(m + 1, 2), low_last + 1)
     v = z[prev:]
 
+    # the walk flips twice per position of y's first run, the opening 1
+    # by [b, 1]: z lies past each piece in us and the 1 before it, half
+    # a pair further in weight n + 1, and past 1w in two of the cases
+    t = 2 * sum(len(q) + 1 for q in us) + (wt == n + 1)
+    if (wt == n) == unique:
+        t += 2 * len(w) + 2
+
     parts: list[str] = []
     for piece in us:
         parts.append("1")
@@ -139,7 +148,7 @@ def path_first_vertex(z: str) -> str:
         parts.append(piece)
     parts.append("0")
     parts.append(v)
-    return "".join(parts)
+    return "".join(parts), t
 
 
 def _partner(y: str) -> str | None:
@@ -165,23 +174,6 @@ def forward_sequence(z: str, flips: bool = True) -> list[int]:
     return flip_sequence(z)
 
 
-def _locate(start: str, seq: Sequence[int], target: str) -> int:
-    # Index of target along the walk from start, found in O(n) overall
-    # by tracking the mismatch count instead of comparing whole words.
-    cur = bytearray(start.encode())
-    tgt = target.encode()
-    diff = (int(start, 2) ^ int(target, 2)).bit_count()
-    if diff == 0:
-        return 0
-    for t, p in enumerate(seq, start=1):
-        i = p - 1
-        cur[i] ^= 1
-        diff += -1 if cur[i] == tgt[i] else 1
-        if diff == 0:
-            return t
-    raise RuntimeError("vertex is not on its derived path")
-
-
 class GeneratorState:
     """Resumable cursor into the cyclic listing for one n.
 
@@ -196,6 +188,10 @@ class GeneratorState:
     flip in it.  The list ends with the pass's closing flip of position
     2n+1; once that is done, the top bit just written picks the next
     pass: 1 starts a backward pass, 0 a forward pass.
+
+    A start vertex is split once, by path_first_vertex, into the first
+    vertex of its pass's path and its step index there; the pass is
+    built from the one and the cursor set at the other.
     """
 
     __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_last")
@@ -215,14 +211,22 @@ class GeneratorState:
         self._last: int | None = None
         z = start[:-1]
         if start[-1] == "0":
-            y = path_first_vertex(z)
-            if flips and y != z:
-                # z is an interior vertex: if its basic path was traded
-                # away in a pair, z now lies on the partner's walk
-                y = _partner(y) or y
-            self._forward_pass(y, start)
+            y, t = path_first_vertex(z)
+            p = _partner(y) if flips and t else None
+            if p is not None:
+                # z's basic path was traded away in a pair, so z lies on
+                # the partner's walk.  Steps 1 to 5 of the target rule
+                # [b, 1, 2, 3, 1, 2] visit the source's steps 5 to 1.
+                y = p
+                if p[1] == "0" and t < 6:
+                    t = 6 - t
+            self._forward_pass(y)
+            self._k = t
         else:
-            self._backward_pass(path_first_vertex(rev_complement(z)), start)
+            # the pass walks g's basic path backwards, then closes
+            g, t = path_first_vertex(rev_complement(z))
+            self._backward_pass(g)
+            self._k = len(self._seq) - 1 - t
 
     def __iter__(self) -> GeneratorState:
         return self
@@ -280,25 +284,21 @@ class GeneratorState:
     def _start_forward(self) -> None:
         self._forward_pass(self._buf[1:-1].decode())
 
-    def _forward_pass(self, y: str, at: str | None = None) -> None:
-        """Enter the forward pass from y + '0' at vertex at (default: its
-        first vertex)."""
+    def _forward_pass(self, y: str) -> None:
+        """Enter the forward pass from y + '0' at its first vertex."""
         seq = forward_sequence(y, self.flips)
         seq.append(2 * self.n + 1)
         self._seq = seq
-        self._k = 0 if at is None else _locate(y + "0", seq, at)
+        self._k = 0
 
-    def _backward_pass(self, g: str | bytes, at: str | None = None) -> None:
+    def _backward_pass(self, g: str | bytes) -> None:
         """Enter the backward pass that mirrors the basic path from g, at
-        vertex at (default: its first vertex).  Only g's first run is
-        read, as flip_sequence reads it."""
+        its first vertex.  Only g's first run is read, as flip_sequence
+        reads it."""
         size = 2 * self.n + 1
-        s = flip_sequence(g)
-        self._seq = [size - q for q in reversed(s)]
+        self._seq = [size - q for q in reversed(flip_sequence(g))]
         self._seq.append(size)
-        # at mirrors the vertex t steps along g's basic path, so it sits
-        # len(s) - t steps into this pass
-        self._k = 0 if at is None else len(s) - _locate(g, s, rev_complement(at[:-1]))
+        self._k = 0
 
     @property
     def buffer(self) -> bytearray:

@@ -169,15 +169,13 @@ def test_c6_constant_amortized_time():
     """ns/vertex at n=19 within 3x of n=5 and n=500; memory flat in
     the emitted count."""
     count = 10_000_000
-    r5 = run_benchmark(5, count)
-    r19 = run_benchmark(19, count)
-    r500 = run_benchmark(500, count)
+    ns5, ns19, ns500 = (run_benchmark(n, count) * 1e9 / count for n in (5, 19, 500))
 
     def ratio(a: float, b: float) -> float:
         return max(a, b) / min(a, b)
 
-    ratio_small = ratio(r19.ns_per_vertex, r5.ns_per_vertex)
-    ratio_large = ratio(r19.ns_per_vertex, r500.ns_per_vertex)
+    ratio_small = ratio(ns19, ns5)
+    ratio_large = ratio(ns19, ns500)
     time_ok = ratio_small <= 3.0 and ratio_large <= 3.0
 
     def peak_bytes(vertices: int) -> int:
@@ -196,8 +194,8 @@ def test_c6_constant_amortized_time():
     ok = time_ok and mem_ok
     _report(
         "constant-amortized-time", ok,
-        f"{count} vertices each: n=5 {r5.ns_per_vertex:.0f}ns, "
-        f"n=19 {r19.ns_per_vertex:.0f}ns, n=500 {r500.ns_per_vertex:.0f}ns; "
+        f"{count} vertices each: n=5 {ns5:.0f}ns, "
+        f"n=19 {ns19:.0f}ns, n=500 {ns500:.0f}ns; "
         f"ratios {ratio_small:.2f}/{ratio_large:.2f} vs 3.0; "
         f"peak {small}B at 1e5 visits -> {large}B at 1e6 visits",
     )

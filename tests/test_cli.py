@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from midlevels import cli
-from midlevels.cli import main, run_benchmark
+from midlevels.cli import main
 from midlevels.hamcycle import GeneratorState, total_vertices
 from midlevels.verify import CheckResult
 
@@ -294,14 +294,6 @@ def test_unknown_command_exits_via_argparse():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_run_benchmark_result_is_consistent():
-    r = run_benchmark(2, 2000)
-    assert r.vertices == 2000
-    assert r.seconds > 0
-    assert r.ns_per_vertex == pytest.approx(r.seconds * 1e9 / 2000)
-    assert r.vertices_per_second == pytest.approx(2000 / r.seconds)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from midlevels.bitwords import dyck_words
+from midlevels.bitwords import dyck_words, is_dyck_word
 from midlevels.flipseq import (
     flip_sequence,
     pair_source_sequence,
@@ -23,6 +25,7 @@ from midlevels.hamcycle import (
 
 from helpers import (
     all_words,
+    apply_flips,
     backward_pass_by_decomposition,
     brute_near_dyck_words,
     full_table_flip_sequence,
@@ -47,18 +50,34 @@ def test_default_start():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_path_first_vertex_covers_every_walk(n):
-    # each walk vertex must name the walk's own first word
+    # each walk vertex must name the walk's own first word and its step
     seen: set[str] = set()
     for x in dyck_words(n):
         cur = list(x)
-        assert path_first_vertex(x) == x
-        for p in flip_sequence(x):
+        assert path_first_vertex(x) == (x, 0)
+        for t, p in enumerate(flip_sequence(x), start=1):
             cur[p - 1] = "0" if cur[p - 1] == "1" else "1"
             z = "".join(cur)
-            assert path_first_vertex(z) == x
+            assert path_first_vertex(z) == (x, t)
             seen.add(z)
         seen.add(x)
     assert seen == set(middle_words(n))
+
+
+@st.composite
+def middle_words_up_to_500(draw) -> str:
+    n = draw(st.integers(1, 500))
+    ones = draw(st.sampled_from([n, n + 1]))
+    return "".join(draw(st.permutations("1" * ones + "0" * (2 * n - ones))))
+
+
+@settings(derandomize=True, deadline=None)
+@given(middle_words_up_to_500())
+def test_path_first_vertex_replays_to_its_word(z):
+    # t flips of the basic walk from y lead back to z
+    y, t = path_first_vertex(z)
+    assert is_dyck_word(y)
+    assert apply_flips(y, flip_sequence(y)[:t])[-1] == z
 
 
 def test_path_first_vertex_rejects_bad_words():
@@ -174,6 +193,34 @@ def test_resume_continues_the_walk_through_it(n):
             assert cur[:p] == prev[:p] and cur[p] != prev[p] and cur[p + 1 :] == prev[p + 1 :]
             assert {prev.count(b"1"), cur.count(b"1")} == {n, n + 1}
             prev = cur
+
+
+@pytest.mark.parametrize("n", [19, 500])
+def test_resume_on_the_pair_partner_walk(n):
+    # x = 1(10)^k 0 (10)^l 0 is a broom pair source and the partner walks
+    # the target rule, whose first steps revisit x's basic path in
+    # reverse: resuming at each of the partner's first 7 vertices must
+    # continue its walk for a round
+    k = (n - 1) // 2
+    l = n - 1 - k
+    partner = "101" + "10" * (k - 1) + "0" + "10" * l + "0"
+    assert len(partner) == 2 * n + 1
+    round_len = 4 * n + 2
+    walk = GeneratorState(n, partner)
+    assert walk._seq[:6] == [2 * k + 2, 1, 2, 3, 1, 2]
+    verts = [walk.vertex()]
+    flips = []
+    for _ in range(6 + round_len):
+        next(walk)
+        verts.append(walk.vertex())
+        flips.append(walk.last_flip)
+    for j in range(7):
+        resumed = GeneratorState(n, verts[j])
+        got = []
+        for _ in range(round_len):
+            next(resumed)
+            got.append(resumed.last_flip)
+        assert got == flips[j : j + round_len]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
