@@ -14,6 +14,15 @@ O(n).  The package's own drivers take the walk a pass at a time, as flip
 lists to apply to the buffer; the public cursor steps one vertex per
 call.
 
+A forward boundary asks whether its first vertex is a word of a flip
+pair.  The flip-tree test on the pair source is read off byte patterns
+of the word (`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a
+tree only where the patterns leave it open.  A backward boundary mirrors
+the basic path of a Dyck word g whose first run, reversed and
+complemented, ends the buffer; one right-to-left scan of the buffer
+emits that path's flips already mirrored, and one reverse puts them in
+walking order.
+
 `GeneratorState` can start at any vertex.  One decomposition of the
 start vertex gives both the first vertex of the basic path through it
 and its step index on that path; the constructor builds the pass from
@@ -29,7 +38,7 @@ from math import comb
 
 from .bitwords import rev_complement
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
-from .trees import is_flip_tree, pair_image, pair_preimage
+from .trees import flip_tree_by_pattern, is_flip_tree, pair_image, pair_preimage
 
 __all__ = [
     "path_first_vertex",
@@ -42,7 +51,7 @@ __all__ = [
     "default_start",
 ]
 
-_COMPLEMENT = bytes.maketrans(b"01", b"10")
+_ZERO = ord("0")
 _STEP = {48: -1, 49: 1}  # lattice step of an ASCII '0' or '1'
 
 
@@ -151,13 +160,22 @@ def path_first_vertex(z: str) -> tuple[str, int]:
     return "".join(parts), t
 
 
+def _flip_tree(x: str) -> bool:
+    """is_flip_tree(x) for a pair source the generator built, which needs
+    no validation: byte patterns first, the tree only where they leave
+    it open."""
+    hit = flip_tree_by_pattern(x)
+    return is_flip_tree(x) if hit is None else hit
+
+
 def _partner(y: str) -> str | None:
     """The other word of y's flip pair, or None.  A pair is a source
     110w0v for which is_flip_tree holds and its image 101w0v."""
-    if y[:3] == "110" and is_flip_tree(y):
-        return pair_image(y)
-    if y[:3] == "101" and is_flip_tree(pair_preimage(y)):
-        return pair_preimage(y)
+    if y[:3] == "110":
+        return pair_image(y) if _flip_tree(y) else None
+    if y[:3] == "101":
+        x = pair_preimage(y)
+        return x if _flip_tree(x) else None
     return None
 
 
@@ -225,7 +243,7 @@ class GeneratorState:
         else:
             # the pass walks g's basic path backwards, then closes
             g, t = path_first_vertex(rev_complement(z))
-            self._backward_pass(g)
+            self._backward_pass(rev_complement(g).encode())
             self._k = len(self._seq) - 1 - t
 
     def __iter__(self) -> GeneratorState:
@@ -274,12 +292,12 @@ class GeneratorState:
             self._start_forward()
 
     def _start_backward(self) -> None:
-        # The buffer holds the near-Dyck word y = u01v, and the pass mirrors
-        # the basic path from g = 1 rc(v) 0 rc(u), with rc the reverse
-        # complement.  That path depends only on g's first run 1 rc(v) 0,
-        # which "1" + rc(y) = 1 rc(v) 01 rc(u) shares: so the run is read
-        # off the buffer from the right, as far as the 1 of y's "01".
-        self._backward_pass(b"1" + self._buf[-2:0:-1].translate(_COMPLEMENT))
+        # The buffer holds the near-Dyck word y = u01v and the top bit 1.
+        # The pass mirrors the basic path from g = 1 rc(v) 0 rc(u), with
+        # rc the reverse complement, which reads only g's first run
+        # 1 rc(v) 0.  That run's mirror 1 v 0 ends the buffer, u 0 1 v 1,
+        # but for the last byte, which the scan takes as the opener.
+        self._backward_pass(self._buf)
 
     def _start_forward(self) -> None:
         self._forward_pass(self._buf[1:-1].decode())
@@ -291,14 +309,42 @@ class GeneratorState:
         self._seq = seq
         self._k = 0
 
-    def _backward_pass(self, g: str | bytes) -> None:
+    def _backward_pass(self, codes: bytes | bytearray) -> None:
         """Enter the backward pass that mirrors the basic path from g, at
-        its first vertex.  Only g's first run is read, as flip_sequence
-        reads it."""
+        its first vertex.  codes ends with rc(g)'s final bytes, rc the
+        reverse complement, up to the mirror of g's first run.
+
+        One scan reads codes right to left, that is g left to right: the
+        last byte, whatever it holds, opens the run, then a '0' opens a
+        nested run and a '1' closes one.  It emits flip_sequence(g)'s
+        entries in their order, position p of g mirrored to 2n+1 - p,
+        which counts down from the last byte; a closing emits one more
+        than its opener's mirror in place of flip_sequence's one less.
+        One reverse then gives the backward order, and the pass's closing
+        flip 2n+1, put first, ends up last.
+        """
         size = 2 * self.n + 1
-        self._seq = [size - q for q in reversed(flip_sequence(g))]
-        self._seq.append(size)
-        self._k = 0
+        out = [size, 0, size - 1]  # closing flip; slot for b; 1 mirrored
+        put = out.append
+        slots = [1]
+        p = size - 1
+        for c in codes[-2::-1]:
+            p -= 1
+            if c == _ZERO:
+                slots.append(len(out))
+                put(0)
+                put(p)
+            else:
+                i = slots.pop()
+                out[i] = p
+                if not slots:
+                    out.reverse()
+                    self._seq = out
+                    self._k = 0
+                    return
+                put(out[i + 1] + 1)
+                put(p)
+        raise ValueError("no balanced run")
 
     @property
     def buffer(self) -> bytearray:

@@ -12,7 +12,12 @@ tree representation here; a rooting is a (root, first child) pair on it.
 tree's center, and reads its word off x relabelled from that center.
 `is_flip_tree` marks, within each non-star orbit, exactly one word whose
 path the generator replaces by its modified variant; that single swap
-per orbit is what merges the short cycles into one.
+per orbit is what merges the short cycles into one.  `flip_tree_by_pattern`
+answers the same question for most pair sources from byte patterns in
+the word alone, with no tree: a factor 1100 is a leaf whose neighbour
+has degree two, a prefix 1(10)^k 0 says vertex 1's children are all
+leaves.  The generator asks it first and builds a tree only for the
+words it leaves open.
 
 Reading x walks the tree's Euler tour: position i of x (0-based) is one
 step along a directed edge (u, w), and the i-th rotation of x is the
@@ -23,6 +28,8 @@ tree's rotational period, the least p > 0 whose p-th rotation is x.
 
 from __future__ import annotations
 
+import re
+
 from .bitwords import is_dyck_word
 
 __all__ = [
@@ -30,10 +37,15 @@ __all__ = [
     "pair_image",
     "pair_preimage",
     "is_flip_tree",
+    "flip_tree_by_pattern",
 ]
 
 
 _Tree = tuple[list[list[int]], list[int], list[int]]
+
+# 1 (10)^k 0 with k >= 1: vertex 1 of the word's tree has only leaf
+# children
+_BROOM_HEAD = re.compile(r"1(?:10)+0").match
 
 
 def _tree(x: str) -> _Tree:
@@ -238,3 +250,27 @@ def is_flip_tree(x: str) -> bool:
     m = len(x)
     chosen = min(forms, key=lambda q: (q - start) % m)
     return chosen % period == 0
+
+
+def flip_tree_by_pattern(x: str) -> bool | None:
+    """is_flip_tree(x) read off byte patterns of x, or None where only
+    the tree settles it.  x must be a Dyck word that starts with 110;
+    it is not checked.
+
+    The winning word has the thin-leaf form 1100v or the broom form
+    1(10)^k 0 v, k >= 2, so a word starting 11011, and 1100 itself, a
+    star, lose.  A factor 1100 is a thin leaf below a non-root vertex;
+    the only other thin leaves a word starting 1100 can have hang off a
+    root of degree two, which happens just for 110010.  So a thin-leaf
+    form word with one factor 1100 and other than 110010 has one thin
+    leaf, hence one rotation of its form, its own, and wins.  A broom
+    form word loses if it has a thin leaf, since a thin leaf forces the
+    other form, or if vertex 1 has a child that is not a leaf.
+    """
+    if x[3:5] == "11" or x == "1100":
+        return False
+    if x[3] == "0":
+        return True if x.count("1100") == 1 and x != "110010" else None
+    if "1100" in x or not _BROOM_HEAD(x):
+        return False
+    return None

@@ -65,10 +65,32 @@ def test_path_first_vertex_covers_every_walk(n):
 
 
 @st.composite
-def middle_words_up_to_500(draw) -> str:
+def middle_words_up_to_500(draw, top: bool = False) -> str:
+    """A word of weight n or n+1 and length 2n, or 2n+1 (a vertex) with
+    top, for n up to 500."""
     n = draw(st.integers(1, 500))
     ones = draw(st.sampled_from([n, n + 1]))
-    return "".join(draw(st.permutations("1" * ones + "0" * (2 * n - ones))))
+    size = 2 * n + top
+    return "".join(draw(st.permutations("1" * ones + "0" * (size - ones))))
+
+
+def _dyck(draw, k: int) -> str:
+    # a balanced word rotated to start at its first lowest point
+    w = "".join(draw(st.permutations("1" * k + "0" * k)))
+    h = low = at = 0
+    for i, c in enumerate(w, 1):
+        h += 1 if c == "1" else -1
+        if h < low:
+            low, at = h, i
+    return w[at:] + w[:at]
+
+
+@st.composite
+def near_dyck_words_up_to_500(draw) -> str:
+    """u01v for Dyck words u and v, of length 2n for n up to 500."""
+    n = draw(st.integers(1, 500))
+    a = draw(st.integers(0, n - 1))
+    return _dyck(draw, a) + "01" + _dyck(draw, n - 1 - a)
 
 
 @settings(derandomize=True, deadline=None)
@@ -239,6 +261,48 @@ def test_boundaries_match_the_oracles(n):
         state._start_backward()
         assert state._seq == backward_pass_by_decomposition(y)
         assert state._k == 0
+
+
+def _backward_walk(y: str) -> GeneratorState:
+    # a walk entering the backward pass at y + '1' through the boundary
+    n = len(y) // 2
+    walk = GeneratorState(n)
+    walk.buffer[1:] = (y + "1").encode()
+    walk._start_backward()
+    return walk
+
+
+@settings(derandomize=True, deadline=None)
+@given(near_dyck_words_up_to_500())
+def test_backward_boundary_matches_the_oracle(y):
+    assert _backward_walk(y)._seq == backward_pass_by_decomposition(y)
+
+
+@settings(derandomize=True, deadline=None)
+@given(near_dyck_words_up_to_500(), st.data())
+def test_resume_inside_a_backward_pass(y, data):
+    # the constructor reads a backward pass off rc(g), the boundary off
+    # the buffer: resuming at a vertex of the pass, whose last bit is 1,
+    # continues the walk stepped from the pass's first vertex
+    n = len(y) // 2
+    walk = _backward_walk(y)
+    for _ in range(data.draw(st.integers(0, len(walk._seq) - 1))):
+        next(walk)
+    v = walk.vertex()
+    assert v[-1] == "1"
+    resumed = GeneratorState(n, v)
+    for _ in range(4 * n + 2):
+        assert next(resumed) == next(walk)
+
+
+@settings(derandomize=True, deadline=None)
+@given(middle_words_up_to_500(top=True))
+def test_resume_at_the_next_vertex(v):
+    n = len(v) // 2
+    walk = GeneratorState(n, v)
+    after = next(walk).decode()[1:]
+    resumed = GeneratorState(n, after)
+    assert next(resumed) == next(walk)
 
 
 def _cursor_walk(n: int, start: str, count: int) -> list[str]:

@@ -2,7 +2,8 @@
 
 `perfbench/spans.py` replaces functions and two GeneratorState methods
 by name.  A name removed or renamed in `src/` would make every traced
-run fail, so this test resolves each one.  spans.py imports only the
+run fail, so these tests resolve each one, and check that the generator
+still calls the flip-tree test the tracer counts.  spans.py imports only the
 standard library, so it is loaded by path without the benchmark's
 other modules.
 """
@@ -13,7 +14,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from midlevels.hamcycle import GeneratorState
+from midlevels import hamcycle, trees
+from midlevels.hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +39,34 @@ def test_traced_functions_resolve():
 def test_traced_methods_resolve():
     methods = [meth for _, meth in _load_spans()._METHODS]
     assert [m for m in methods if m not in GeneratorState.__dict__] == []
+
+
+def test_generator_calls_is_flip_tree_for_each_open_pattern_test(monkeypatch):
+    # The tracer counts flip-tree tests by wrapping every binding of
+    # trees.is_flip_tree, so the generator must still call it: once for
+    # each pair source that flip_tree_by_pattern leaves open, and only then.
+    spans = _load_spans()
+    target = trees.is_flip_tree
+    pattern = trees.flip_tree_by_pattern
+    called: list[str] = []
+    deferred: list[str] = []
+
+    def counted(x: str) -> bool:
+        called.append(x)
+        return target(x)
+
+    def counted_pattern(x: str) -> bool | None:
+        hit = pattern(x)
+        if hit is None:
+            deferred.append(x)
+        return hit
+
+    for mod in spans._MODULES:
+        module = importlib.import_module(f"midlevels.{mod}")
+        for attr, value in list(vars(module).items()):
+            if value is target:
+                monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(hamcycle, "flip_tree_by_pattern", counted_pattern)
+    n = 5
+    ham_cycle(n, default_start(n), total_vertices(n), lambda buf: None)
+    assert deferred and called == deferred

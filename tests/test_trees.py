@@ -8,6 +8,7 @@ from midlevels.trees import (
     _shape,
     _tree,
     canonical_root,
+    flip_tree_by_pattern,
     is_flip_tree,
     pair_image,
     pair_preimage,
@@ -137,6 +138,31 @@ def test_is_flip_tree_rejects_non_dyck(bad):
     # checked before the prefix shortcuts, which would answer False
     with pytest.raises(ValueError):
         is_flip_tree(bad)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_flip_tree_by_pattern_agrees_where_it_answers(n):
+    answered = 0
+    for x in dyck_words(n):
+        if x.startswith("110"):
+            hit = flip_tree_by_pattern(x)
+            if hit is not None:
+                answered += 1
+                assert hit is is_flip_tree(x), x
+    if n >= 4:
+        assert answered > 0
+
+
+def test_flip_tree_by_pattern_examples():
+    # two thin leaves, one at the root: only the tree can choose
+    assert flip_tree_by_pattern("110010") is None
+    assert flip_tree_by_pattern("1100") is False  # star
+    assert flip_tree_by_pattern("11011000") is False  # prefix 11011
+    assert flip_tree_by_pattern("11001100") is None  # two factors 1100
+    assert flip_tree_by_pattern("11001010") is True  # one thin leaf
+    assert flip_tree_by_pattern("1101001100") is False  # broom with a thin leaf
+    assert flip_tree_by_pattern("110101101000") is False  # vertex 1 not a broom
+    assert flip_tree_by_pattern("110101001010") is None  # broom: remainder rule
 
 
 @pytest.mark.parametrize("n", range(2, 9))

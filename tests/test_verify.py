@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import io
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midlevels import verify
 from midlevels.cli import main
@@ -69,6 +73,31 @@ def test_check_listing_partial_has_no_closure_row(capsys):
     results = check_listing(3, *window)
     assert all(r.passed for r in results)
     assert "listing-closure" not in [r.name for r in results]
+
+
+@st.composite
+def gen_windows(draw) -> tuple[int, str, int]:
+    """(n, start, count) for `midlevels gen`, n up to the cap."""
+    n = draw(st.integers(1, FULL_GRAPH_CAP))
+    ones = draw(st.sampled_from([n, n + 1]))
+    start = "".join(draw(st.permutations("1" * ones + "0" * (2 * n + 1 - ones))))
+    count = draw(st.integers(1, min(total_vertices(n), 5000)))
+    return n, start, count
+
+
+@settings(derandomize=True, deadline=None)
+@given(gen_windows())
+def test_check_listing_passes_on_random_gen_windows(window):
+    # check_listing keeps a byte per word of length 2n+1, so it stops at
+    # FULL_GRAPH_CAP; that bounds n here
+    n, start, count = window
+    out = io.StringIO()
+    argv = ["gen", "-n", str(n), "--start", start, "--count", str(count)]
+    with redirect_stdout(out):
+        assert main(argv + ["--format", "delta"]) == 0
+    first, *steps = out.getvalue().split()
+    assert first == start and len(steps) == count - 1
+    assert _failing(check_listing(n, first, map(int, steps))) == {}
 
 
 def _failing(results):
