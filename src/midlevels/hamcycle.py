@@ -17,8 +17,8 @@ call.
 A forward boundary asks whether its first vertex is a word of a flip
 pair.  The flip-tree test on the pair source is read off byte patterns
 of the word (`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a
-tree only where the patterns leave it open.  A backward boundary mirrors
-the basic path of a Dyck word g whose first run, reversed and
+tree record only where the patterns leave it open.  A backward boundary
+mirrors the basic path of a Dyck word g whose first run, reversed and
 complemented, ends the buffer; one right-to-left scan of the buffer
 emits that path's flips already mirrored, and one reverse puts them in
 walking order.
@@ -161,9 +161,10 @@ def path_first_vertex(z: str) -> tuple[str, int]:
 
 
 def _flip_tree(x: str) -> bool:
-    """is_flip_tree(x) for a pair source the generator built, which needs
-    no validation: byte patterns first, the tree only where they leave
-    it open."""
+    """is_flip_tree(x) for a pair source the generator built: byte
+    patterns first, the tree only where they leave it open.  The word
+    needs no validation, and the check that is_flip_tree makes costs
+    nothing extra: it is part of the one pass that builds the tree."""
     hit = flip_tree_by_pattern(x)
     return is_flip_tree(x) if hit is None else hit
 

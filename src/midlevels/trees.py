@@ -6,8 +6,11 @@ closes it.  Rotation, 1u0v -> u1v0, moves the root to its first child
 without changing the embedded (plane) tree, so rotation orbits of words
 correspond to plane trees.
 
-`_tree` reads a word once into its tree's cyclic adjacency, the one
-tree representation here; a rooting is a (root, first child) pair on it.
+`_record` reads a word once into one flat record of its tree, the one
+tree representation here: per vertex its parent, the positions of the
+steps into and out of it, and its two largest child heights.  The
+tree's center is a walk down from the root along the highest children,
+and the degrees are counted from the parent array.
 `canonical_root` picks one rooting per plane tree, anchored at the
 tree's center, and reads its word off x relabelled from that center.
 `is_flip_tree` marks, within each non-star orbit, exactly one word whose
@@ -41,76 +44,115 @@ __all__ = [
 ]
 
 
-_Tree = tuple[list[list[int]], list[int], list[int]]
+# (parent, opens, closes, high, second, top); see _record
+_Record = tuple[
+    list[int], list[int], list[int], list[int], list[int], list[int]
+]
 
 # 1 (10)^k 0 with k >= 1: vertex 1 of the word's tree has only leaf
 # children
 _BROOM_HEAD = re.compile(r"1(?:10)+0").match
 
 
-def _tree(x: str) -> _Tree:
-    """x's plane tree as (adj, opens, closes), built in one pass over x.
+def _record(x: str) -> _Record:
+    """x's plane tree as one flat record, built in one pass over x.
 
-    adj is the cyclic adjacency.  Vertex ids are preorder numbers and the
-    root is 0.  Every other vertex lists its parent first, then its
-    children left to right: the cyclic order around each vertex that
-    rotation preserves.  opens[v] and closes[v] are the positions in x
-    of the '1' that steps down to vertex v and the '0' that steps back
-    up (-1 for the root).  Raises ValueError unless x is a Dyck word.
+    Vertex ids are preorder numbers and the root is 0.  The record is
+    (parent, opens, closes, high, second, top), one entry per vertex v:
+    parent[v] (0 for the root); opens[v] and closes[v], the positions in
+    x of the '1' that steps down to v and the '0' that steps back up (-1
+    for the root); high[v] and second[v], the two largest of
+    1 + high[w] over v's children w (0 where there are fewer); and
+    top[v], the first child w that gives high[v] (-1 for a leaf).
+    Raises ValueError unless x is a Dyck word.
     """
-    adj: list[list[int]] = [[]]
-    opens = [-1]
-    closes = [-1]
+    m = len(x)
+    if 2 * x.count("1") != m or 2 * x.count("0") != m:
+        raise ValueError("not a Dyck word")
+    size = m // 2 + 1
+    parent = [0] * size
+    opens = [-1] * size
+    closes = [-1] * size
+    high = [0] * size
+    second = [0] * size
+    top = [-1] * size
     cur = 0
+    v = 1
     for i, c in enumerate(x):
         if c == "1":
-            v = len(adj)
-            adj[cur].append(v)
-            adj.append([cur])
-            opens.append(i)
-            closes.append(-1)
+            parent[v] = cur
+            opens[v] = i
             cur = v
-        elif c == "0" and cur:
-            closes[cur] = i
-            cur = adj[cur][0]
+            v += 1
         else:
-            raise ValueError("not a Dyck word")
-    if cur:
+            closes[cur] = i
+            d = high[cur] + 1
+            p = parent[cur]
+            if d > high[p]:
+                second[p] = high[p]
+                high[p] = d
+                top[p] = cur
+            elif d > second[p]:
+                second[p] = d
+            cur = p
+    # x has as many '0's as '1's and no other letter; it is a Dyck word
+    # iff no '0' stepped up from the root
+    if closes[0] >= 0:
         raise ValueError("not a Dyck word")
-    return adj, opens, closes
+    return parent, opens, closes, high, second, top
 
 
-def _corner(tree: _Tree, u: int, w: int) -> int:
-    """Tour position of the rooting (u, w): where x steps from u to w."""
-    adj, opens, closes = tree
-    return opens[w] if w and adj[w][0] == u else closes[u]
+def _center(rec: _Record) -> list[int]:
+    """The tree's one or two centers, parent first.
+
+    Every center lies on the path from the root down the highest
+    children, and eccentricity along a path first falls, then rises, so
+    the walk goes down while that lowers it; a tie at the last step is
+    the second center.  up is the distance from v to the farthest vertex
+    outside v's subtree.
+    """
+    _, _, _, high, second, top = rec
+    v = up = 0
+    ecc = high[0]
+    while True:
+        w = top[v]
+        if w < 0:
+            return [v]  # the one-vertex tree
+        s = second[v]
+        up = (up if up > s else s) + 1
+        e = high[w] if high[w] > up else up
+        if e > ecc:
+            return [v]
+        if e == ecc:
+            return [v, w]
+        v, ecc = w, e
 
 
-def _centers(adj: list[list[int]]) -> list[int]:
-    size = len(adj)
-    if size <= 2:
-        return list(range(size))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(size) if deg[v] == 1]
-    alive = size
-    while alive > 2:
-        alive -= len(layer)
-        nxt: list[int] = []
-        for v in layer:
-            for u in adj[v]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+def _degrees(parent: list[int]) -> list[int]:
+    """Vertex degrees, counted from the parent array."""
+    deg = [1] * len(parent)
+    deg[0] = 0
+    for p in parent[1:]:
+        deg[p] += 1
+    return deg
 
 
-def _canonical_rooting(
-    x: str, tree: _Tree
-) -> tuple[int, int, bytes | bytearray]:
+def _star_thin(parent: list[int], deg: list[int]) -> tuple[bool, bool]:
+    """(is a star, has a thin leaf): a star has at most one non-leaf
+    vertex; a thin leaf is a leaf whose neighbour has degree two.  A
+    non-root leaf's neighbour is its parent, a leaf root's is vertex 1;
+    the root's own entry names itself, of degree 1 when it is a leaf,
+    and adds nothing."""
+    thin = (deg[0] == 1 and deg[1] == 2) or 2 in [
+        deg[p] for d, p in zip(deg, parent) if d == 1
+    ]
+    return len(deg) - deg.count(1) <= 1, thin
+
+
+def _canonical_rooting(x: str, rec: _Record) -> tuple[int, int, str]:
     """(corner, period, word): the tour position of the rooting whose
     word is `canonical_root`, the tree's rotational period, and that
-    word as ASCII bytes.
+    word.
 
     All three are read off x relabelled as seen from a center c: a step
     is a '1' iff it leads away from c, so only the steps along the path
@@ -123,34 +165,40 @@ def _canonical_rooting(
     coming back; branch words are balanced, so none is a prefix of
     another, and whole words order as their branch sequences do.
     """
-    adj, opens, closes = tree
-    cs = _centers(adj)
+    parent, opens, closes = rec[0], rec[1], rec[2]
+    cs = _center(rec)
     c = cs[0]
-    lab = bytearray(x, "ascii")
-    v = c
-    while v:
-        lab[opens[v]] ^= 1  # '0' <-> '1'
-        lab[closes[v]] ^= 1
-        v = adj[v][0]
+    s = x  # x's steps already lead away from its own root
+    if c:
+        lab = bytearray(x, "ascii")
+        v = c
+        while v:
+            lab[opens[v]] ^= 1  # '0' <-> '1'
+            lab[closes[v]] ^= 1
+            v = parent[v]
+        s = lab.decode()
     m = len(x)
     if len(cs) == 2:
-        b = cs[1]
-        i, j = _corner(tree, c, b), _corner(tree, b, c)
+        # b is c's child: x steps from c to b at opens[b], back at closes[b]
+        i, j = opens[cs[1]], closes[cs[1]]
         # the word of (c, b) is 1 T_b 0 T_c, that of (b, c) is 1 T_c 0 T_b
-        s = lab[i:] + lab[:i]
-        h = (j - i) % m
-        t = s[:1] + s[h + 1 :] + s[h : h + 1] + s[1:h]
+        s = s[i:] + s[:i]
+        h = j - i
+        t = s[:1] + s[h + 1 :] + s[h] + s[1:h]
         if s == t:
             return i, m // 2, s
         return (i, m, s) if s < t else (j, m, t)
-    # c's neighbours in the order x steps from c to them: its children,
-    # then its parent unless c is x's root; starts[i] is the corner of
-    # the rooting (c, nbs[i])
-    nbs = adj[c][1:] + adj[c][:1] if c else adj[c]
-    starts = [opens[w] for w in nbs]
+    # where x steps from c to each neighbour: its children left to right,
+    # a subtree of k vertices spanning 2k positions, then its parent
+    # unless c is x's root
+    starts = []
+    w = c + 1
+    size = len(parent)
+    while w < size and parent[w] == c:
+        starts.append(opens[w])
+        w += (closes[w] - opens[w] + 1) // 2
     if c:
-        starts[-1] = closes[c]
-    s = bytes(lab)
+        starts.append(closes[c])
     ss = s + s
     a = min(starts, key=lambda a: ss[a : a + m])
     return a, ss.find(s, 1), ss[a : a + m]
@@ -164,7 +212,7 @@ def canonical_root(x: str) -> str:
     least of the words rooted at the center, that is, the center's
     branches in their least cyclic order.  Invariant under rotation.
     """
-    return _canonical_rooting(x, _tree(x))[2].decode() if x else ""
+    return _canonical_rooting(x, _record(x))[2] if x else ""
 
 
 def pair_image(x: str) -> str:
@@ -179,14 +227,6 @@ def pair_preimage(y: str) -> str:
     if y[:3] != "101":
         raise ValueError("not in tau image")
     return "110" + y[3:]
-
-
-def _shape(adj: list[list[int]]) -> tuple[bool, bool]:
-    """(is a star, has a thin leaf): a star has at most one non-leaf
-    vertex; a thin leaf is a leaf whose neighbour has degree two."""
-    deg = [len(a) for a in adj]
-    thin = any(deg[a[0]] == 2 for a in adj if len(a) == 1)
-    return len(deg) - deg.count(1) <= 1, thin
 
 
 def is_flip_tree(x: str) -> bool:
@@ -214,39 +254,54 @@ def is_flip_tree(x: str) -> bool:
         if x[:3] != "110":
             raise ValueError("not in tau domain")
         return False
-    tree = _tree(x)
-    adj = tree[0]
-    deg = [len(a) for a in adj]
-    forms: list[int] = []
+    rec = _record(x)
+    parent, opens, closes, high, second, top = rec
     if x[3] == "0":
-        # one rotation of the thin-leaf form per thin leaf: rooted at the
-        # other neighbour of the leaf's degree-two neighbour f
-        for leaf, nb in enumerate(adj):
-            f = nb[0]
-            if len(nb) == 1 and deg[f] == 2:
-                a, b = adj[f]
-                forms.append(_corner(tree, b if a == leaf else a, f))
+        # one rotation of the thin-leaf form per thin leaf, rooted at the
+        # other neighbour g of the leaf's degree-two neighbour f.  A
+        # factor 1100 at q is a leaf whose parent f is not the root and
+        # has no other child; the rooting (g, f) is where x steps into f,
+        # at q.  Other than 1100, answered above, a word starting 1100
+        # has one more thin leaf only when the root has degree two and a
+        # leaf child: 110010, whose leaf under the root gives the
+        # rooting (vertex 1, root) at 3.
+        forms = []
+        q = 0
+        while q >= 0:
+            forms.append(q)
+            q = x.find("1100", q + 4)
+        if x == "110010":
+            forms.append(3)
     else:
-        # stars never qualify, and a thin leaf would force the 1100 form
-        if any(_shape(adj)):
-            return False
         # x's own rotation must be a broom: vertex 1's children all leaves
-        if any(deg[w] != 1 for w in adj[1][1:]):
+        if high[1] > 1:
+            return False
+        deg = _degrees(parent)
+        # stars never qualify, and a thin leaf would force the 1100 form
+        if any(_star_thin(parent, deg)):
             return False
         # the remainder rule; it holds for the chosen rotation iff it
-        # holds for x whenever x is that rotation
-        if deg[0] < deg[1] and all(deg[w] == 1 for w in adj[0][1:]):
+        # holds for x whenever x is that rotation.  Vertex 1 gives the
+        # root a height of 2, so the root's other children are all
+        # leaves iff its second height is at most 1.
+        if deg[0] < deg[1] and second[0] <= 1:
             return False
         # one rotation of the broom form per vertex f of degree at least
-        # three whose only non-leaf neighbour g is the root
-        for f, nb in enumerate(adj):
-            if len(nb) >= 3:
-                inner = [g for g in nb if deg[g] != 1]
-                if len(inner) == 1:
-                    forms.append(_corner(tree, inner[0], f))
+        # three with one non-leaf neighbour g, rooted at g: either f's
+        # parent, all of f's children being leaves, or f's one child that
+        # is not a leaf, when f is the root or hangs off a leaf root
+        forms = []
+        for f, d in enumerate(deg):
+            if d < 3:
+                continue
+            if f and deg[parent[f]] != 1:
+                if high[f] == 1:
+                    forms.append(opens[f])
+            elif high[f] > 1 and second[f] <= 1:
+                forms.append(closes[top[f]])
     if len(forms) == 1:
         return True  # the one rotation of x's form is x's own
-    start, period, _ = _canonical_rooting(x, tree)
+    start, period, _ = _canonical_rooting(x, rec)
     m = len(x)
     chosen = min(forms, key=lambda q: (q - start) % m)
     return chosen % period == 0

@@ -21,7 +21,7 @@ from itertools import groupby
 from .bitwords import dyck_words
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .hamcycle import GeneratorState, default_start, total_vertices
-from .trees import _tree, canonical_root, is_flip_tree, pair_image
+from .trees import _degrees, _record, canonical_root, is_flip_tree, pair_image
 
 __all__ = [
     "FULL_GRAPH_CAP",
@@ -252,20 +252,23 @@ def tree_signature(x: str) -> tuple[int, int, int]:
     """(leaves, non-terminal leaves, max degree) of x's plane tree;
     strictly increases in lexicographic order along every flip-graph
     arc."""
-    adj = _tree(x)[0]
-    deg = [len(a) for a in adj]
+    parent = _record(x)[0]
+    deg = _degrees(parent)
     leaves = [v for v, d in enumerate(deg) if d == 1]
-    if len(leaves) == len(adj):
+    if len(leaves) == len(deg):
         # single edge: both ends are leaves, no interior at all
         return len(leaves), 0, max(deg)
     # the skeleton is the tree minus its leaves; a leaf is terminal when
-    # its one neighbour is a leaf of the skeleton
-    skel_leaves = {
-        v
-        for v, a in enumerate(adj)
-        if deg[v] != 1 and sum(1 for u in a if deg[u] != 1) <= 1
-    }
-    terminal = sum(1 for v in leaves if adj[v][0] in skel_leaves)
+    # its one neighbour (vertex 1 for a leaf root) is a leaf of the
+    # skeleton, a non-leaf with at most one non-leaf neighbour
+    inner = [0] * len(deg)
+    for v in range(1, len(deg)):
+        p = parent[v]
+        if deg[v] != 1:
+            inner[p] += 1
+        if deg[p] != 1:
+            inner[v] += 1
+    terminal = sum(1 for v in leaves if inner[parent[v] if v else 1] <= 1)
     return len(leaves), len(leaves) - terminal, max(deg)
 
 

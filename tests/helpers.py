@@ -200,3 +200,144 @@ def is_rotation(a: list[str], b: list[str]) -> bool:
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
+
+
+# The flip-tree test and canonical rooting as they stood on the tree's
+# cyclic adjacency, with centers found by peeling leaves layer by layer.
+# They answer every question independently of the library's flat tree
+# record and its center walk, at any n.
+
+
+def tree_with_corners(x: str) -> tuple[list[list[int]], list[int], list[int]]:
+    """(adj, opens, closes): the cyclic adjacency of x's plane tree
+    (preorder ids, root 0, parent first, then children left to right)
+    and the positions of the '1' that enters and the '0' that leaves
+    each vertex (-1 for the root).  Raises ValueError unless x is a
+    Dyck word."""
+    adj: list[list[int]] = [[]]
+    opens = [-1]
+    closes = [-1]
+    cur = 0
+    for i, c in enumerate(x):
+        if c == "1":
+            v = len(adj)
+            adj[cur].append(v)
+            adj.append([cur])
+            opens.append(i)
+            closes.append(-1)
+            cur = v
+        elif c == "0" and cur:
+            closes[cur] = i
+            cur = adj[cur][0]
+        else:
+            raise ValueError("not a Dyck word")
+    if cur:
+        raise ValueError("not a Dyck word")
+    return adj, opens, closes
+
+
+def _corner(tree, u: int, w: int) -> int:
+    # tour position of the rooting (u, w): where x steps from u to w
+    adj, opens, closes = tree
+    return opens[w] if w and adj[w][0] == u else closes[u]
+
+
+def peeled_centers(adj: list[list[int]]) -> list[int]:
+    """Centers by removing all leaves, layer after layer, until at most
+    two vertices are left."""
+    size = len(adj)
+    if size <= 2:
+        return list(range(size))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(size) if deg[v] == 1]
+    alive = size
+    while alive > 2:
+        alive -= len(layer)
+        nxt: list[int] = []
+        for v in layer:
+            for u in adj[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    return sorted(layer)
+
+
+def adjacency_canonical_rooting(x: str, tree) -> tuple[int, int, bytes]:
+    """(corner, period, word) of the canonical rooting: x relabelled as
+    seen from the first center, then the (c, b) and (b, c) words for two
+    centers, or the least rotation starting at one of c's branches."""
+    adj, opens, closes = tree
+    cs = peeled_centers(adj)
+    c = cs[0]
+    lab = bytearray(x, "ascii")
+    v = c
+    while v:
+        lab[opens[v]] ^= 1
+        lab[closes[v]] ^= 1
+        v = adj[v][0]
+    m = len(x)
+    if len(cs) == 2:
+        b = cs[1]
+        i, j = _corner(tree, c, b), _corner(tree, b, c)
+        s = bytes(lab[i:] + lab[:i])
+        h = (j - i) % m
+        t = s[:1] + s[h + 1 :] + s[h : h + 1] + s[1:h]
+        if s == t:
+            return i, m // 2, s
+        return (i, m, s) if s < t else (j, m, t)
+    nbs = adj[c][1:] + adj[c][:1] if c else adj[c]
+    starts = [opens[w] for w in nbs]
+    if c:
+        starts[-1] = closes[c]
+    s = bytes(lab)
+    ss = s + s
+    a = min(starts, key=lambda a: ss[a : a + m])
+    return a, ss.find(s, 1), ss[a : a + m]
+
+
+def adjacency_canonical_root(x: str) -> str:
+    if not x:
+        return ""
+    return adjacency_canonical_rooting(x, tree_with_corners(x))[2].decode()
+
+
+def adjacency_is_flip_tree(x: str) -> bool:
+    """is_flip_tree on the cyclic adjacency: list the tour positions
+    whose rotation has x's form (thin leaf 1100v, or broom 1(10)^k 0 v
+    for trees without thin leaves), take the first at or after the
+    canonical rooting's, and compare it with x's own modulo the period."""
+    tree = tree_with_corners(x)
+    if x[:3] != "110":
+        raise ValueError("not in tau domain")
+    if x[3:5] == "11" or x == "1100":
+        return False
+    adj = tree[0]
+    deg = [len(a) for a in adj]
+    forms: list[int] = []
+    if x[3] == "0":
+        for leaf, nb in enumerate(adj):
+            f = nb[0]
+            if len(nb) == 1 and deg[f] == 2:
+                a, b = adj[f]
+                forms.append(_corner(tree, b if a == leaf else a, f))
+    else:
+        star = len(deg) - deg.count(1) <= 1
+        thin = any(deg[a[0]] == 2 for a in adj if len(a) == 1)
+        if star or thin:
+            return False
+        if any(deg[w] != 1 for w in adj[1][1:]):
+            return False
+        if deg[0] < deg[1] and all(deg[w] == 1 for w in adj[0][1:]):
+            return False
+        for f, nb in enumerate(adj):
+            if len(nb) >= 3:
+                inner = [g for g in nb if deg[g] != 1]
+                if len(inner) == 1:
+                    forms.append(_corner(tree, inner[0], f))
+    if len(forms) == 1:
+        return True
+    start, period, _ = adjacency_canonical_rooting(x, tree)
+    m = len(x)
+    chosen = min(forms, key=lambda q: (q - start) % m)
+    return chosen % period == 0

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midlevels.bitwords import dyck_words
 from midlevels.trees import (
-    _centers,
-    _shape,
-    _tree,
+    _center,
+    _degrees,
+    _record,
+    _star_thin,
     canonical_root,
     flip_tree_by_pattern,
     is_flip_tree,
@@ -15,8 +20,11 @@ from midlevels.trees import (
 )
 
 from helpers import (
+    adjacency_canonical_root,
     adjacency_from_word,
+    adjacency_is_flip_tree,
     brute_centers,
+    brute_match_table,
     rotate,
     rotation_orbit,
 )
@@ -30,24 +38,46 @@ def _is_star(adj: list[list[int]]) -> bool:
     return sum(1 for a in adj if len(a) != 1) <= 1
 
 
+def _heights(adj: list[list[int]], v: int) -> list[int]:
+    # 1 + the height of each child's subtree, children left to right
+    kids = adj[v][1:] if v else adj[v]
+    return [1 + max(_heights(adj, w), default=0) for w in kids]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tree_roundtrip(n):
     for x in dyck_words(n):
-        assert _tree(x)[0] == adjacency_from_word(x)
+        adj = adjacency_from_word(x)
+        parent, opens, closes, high, second, top = _record(x)
+        assert len(parent) == len(adj) == n + 1
+        assert parent[1:] == [a[0] for a in adj[1:]]
+        assert _degrees(parent) == [len(a) for a in adj]
+        # preorder ids number the '1's left to right
+        assert opens[0] == closes[0] == -1
+        assert opens[1:] == [i for i, c in enumerate(x) if c == "1"]
+        match = brute_match_table(x)
+        for v in range(1, n + 1):
+            assert match[opens[v] + 1] == closes[v] + 1
+        for v in range(n + 1):
+            hs = _heights(adj, v)
+            ranked = sorted(hs, reverse=True) + [0, 0]
+            assert (high[v], second[v]) == (ranked[0], ranked[1])
+            kids = adj[v][1:] if v else adj[v]
+            assert top[v] == (kids[hs.index(high[v])] if hs else -1)
 
 
 def test_adjacency_rejects_non_dyck():
-    for bad in ["01", "1010101", "0011", "1", "1a", "1 0", "1a10"]:
+    for bad in ["01", "1010101", "0011", "1", "1a", "1 0", "1a10", "1001"]:
         with pytest.raises(ValueError):
-            _tree(bad)
+            _record(bad)
         with pytest.raises(ValueError):
             canonical_root(bad)
 
 
 def test_tree_counts():
-    adj = _tree("110100")[0]
-    assert len(adj) == 4  # vertices
-    assert sum(map(len, adj)) == 2 * 3  # each of the 3 edges twice
+    parent = _record("110100")[0]
+    assert len(parent) == 4  # vertices
+    assert sum(_degrees(parent)) == 2 * 3  # each of the 3 edges twice
 
 
 def test_rotate():
@@ -75,7 +105,7 @@ def test_rotation_orbit(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_centers_against_eccentricity_oracle(n):
     for x in dyck_words(n):
-        assert _centers(_tree(x)[0]) == brute_centers(adjacency_from_word(x))
+        assert _center(_record(x)) == brute_centers(adjacency_from_word(x))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -119,7 +149,8 @@ def test_tree_shape_against_degree_oracle(n):
         thin = any(
             len(a) == 1 and len(adj[a[0]]) == 2 for a in adj
         )
-        assert _shape(_tree(x)[0]) == (_is_star(adj), thin)
+        parent = _record(x)[0]
+        assert _star_thin(parent, _degrees(parent)) == (_is_star(adj), thin)
 
 
 def test_is_flip_tree_examples():
@@ -180,3 +211,75 @@ def test_one_flip_tree_per_non_star_orbit(n):
             assert hits == []
         else:
             assert len(hits) == 1
+
+
+def _random_dyck(rng: random.Random, k: int) -> str:
+    # a balanced word rotated to start at its first lowest point
+    w = ["1"] * k + ["0"] * k
+    rng.shuffle(w)
+    h = low = at = 0
+    for i, c in enumerate(w, 1):
+        h += 1 if c == "1" else -1
+        if h < low:
+            low, at = h, i
+    return "".join(w[at:] + w[:at])
+
+
+def _bushy(rng: random.Random, budget: int) -> str:
+    # a subtree whose inner vertices all have two or more children, so
+    # it has no thin leaf
+    if budget < 3 or rng.random() < 0.3:
+        return "10"
+    k = rng.randint(2, 4)
+    return "1" + "".join(_bushy(rng, budget // k) for _ in range(k)) + "0"
+
+
+def _rotate_linear(x: str) -> str:
+    # 1u0v -> u1v0, with the first return to height 0 found in one scan
+    h = 0
+    for i, c in enumerate(x):
+        h += 1 if c == "1" else -1
+        if h == 0:
+            return x[1:i] + "1" + x[i + 1 :] + "0"
+    raise ValueError("not a Dyck word")
+
+
+@st.composite
+def trees_up_to_500(draw) -> str:
+    """Dyck words with up to 500 ones, most of them pair sources: the
+    thin-leaf form 1100v, the broom form 1(10)^k 0 v over a forest
+    without thin leaves, symmetric trees of r equal branches seen from
+    a random rooting, and uniform words."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 500))
+    kind = draw(st.sampled_from(["thin", "broom", "symmetric", "uniform"]))
+    if kind == "thin":
+        return "1100" + _random_dyck(rng, n - 2)
+    if kind == "broom":
+        k = rng.randint(2, 6)
+        rest = []
+        budget = n - k - 1
+        while budget > 0 and rng.random() < 0.8:
+            rest.append(_bushy(rng, budget))
+            budget -= len(rest[-1]) // 2
+        return "1" + "10" * k + "0" + "".join(rest)
+    if kind == "symmetric":
+        r = rng.randint(2, 6)
+        x = _random_dyck(rng, max(1, n // r)) * r
+        for _ in range(rng.randint(0, 2 * r)):
+            x = _rotate_linear(x)
+        return x
+    return _random_dyck(rng, n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(trees_up_to_500())
+def test_flip_tree_and_canonical_root_against_adjacency_oracle(x):
+    # the tree on the cyclic adjacency with centers by leaf peeling
+    # answers independently of the record and its center walk
+    assert canonical_root(x) == adjacency_canonical_root(x)
+    if x.startswith("110"):
+        assert is_flip_tree(x) is adjacency_is_flip_tree(x)
+    else:
+        with pytest.raises(ValueError):
+            is_flip_tree(x)
