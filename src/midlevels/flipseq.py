@@ -11,6 +11,14 @@ partner y = 101w0v additionally admit modified rules
 (`pair_source_sequence` for x, `pair_target_sequence` for y) whose two
 paths cover the same vertices but with the endpoints exchanged.  That
 exchange is the splice the full generator uses to join cycles.
+
+One scan, `_run_flips`, builds the flips of a balanced run in either
+reading direction.  The direction is data: the byte that opens a nested
+run, the step between positions, and what the caller seeds before the
+scan starts.  `flip_sequence` and `pair_target_sequence` read left to
+right with '1' opening; the generator's backward pass reads its buffer
+right to left with '0' opening, which yields a basic path's flips
+mirrored.
 """
 
 from __future__ import annotations
@@ -25,32 +33,36 @@ _ZERO = ord("0")
 _ONE = ord("1")
 
 
-def _run_flips(x: str | bytes | bytearray, start: int) -> list[int]:
-    """Flip positions of the balanced run a..b that opens at a = start.
+def _run_flips(
+    codes: bytes | bytearray, opener: int, step: int,
+    p: int, out: list[int], slots: list[int],
+) -> list[int]:
+    """Finish the flips of a balanced run whose opener the caller seeded.
 
-    The list is [b, a], then one pair per position p inside the run, in
-    order: (q, p) if p opens a nested run closing at q, and (q - 1, p) if
-    p closes one opened at q.  One scan builds it, an opening leaving a
-    slot for its closing position to fill, so no match table is needed
-    and nothing after b is read.  Raises ValueError if position start
-    holds no 1, the run does not close, or it holds a character other
-    than '0' and '1'.
+    The reading direction is data: opener is the byte that opens a
+    nested run (the other of '0' and '1' closes one), and step the
+    change of position from byte to byte of codes, counted from p, the
+    seeded opener's position.  out holds the seeded entries and slots the
+    indices in out still waiting for a closing position.  An opening at p
+    leaves a slot and appends p; a closing at p fills the last slot and,
+    unless that closes the run, appends its opener's position less step,
+    then p.  Nothing after the run is read.  Raises ValueError on a run
+    that does not close or a byte other than '0' and '1'.
     """
-    codes = x.encode() if isinstance(x, str) else x
-    out: list[int] = []
+    closer = opener ^ 1  # ASCII '0' and '1' differ in the last bit
     put = out.append
-    slots: list[int] = []
-    for p, c in enumerate(codes[start - 1 :], start):
-        if c == _ONE:
+    for c in codes:
+        p += step
+        if c == opener:
             slots.append(len(out))
             put(0)
             put(p)
-        elif c == _ZERO and slots:
+        elif c == closer:
             i = slots.pop()
             out[i] = p
             if not slots:
                 return out
-            put(out[i + 1] - 1)
+            put(out[i + 1] - step)
             put(p)
         else:
             break
@@ -60,14 +72,20 @@ def _run_flips(x: str | bytes | bytearray, start: int) -> list[int]:
 def flip_sequence(x: str | bytes | bytearray) -> list[int]:
     """Flip positions walking the path that starts at Dyck word x.
 
-    The sequence has length 2|u|+2 for x = 1u0v and never touches the
-    suffix v, which is not read either: any word that starts with the
-    run 1u0 gives the same sequence.  Raises on empty input and on a
-    first run that does not close.
+    For x = 1u0v the sequence is [b, 1] with b the position of the 0
+    closing the first run, then one pair per position p of u, in order:
+    (q, p) if p opens a nested run closing at q, and (q - 1, p) if p
+    closes one opened at q.  Its length is 2|u|+2 and it never touches
+    the suffix v, which is not read either: any word that starts with
+    the run 1u0 gives the same sequence.  Raises on empty input and on a
+    first run that does not open with a 1 or does not close.
     """
     if not x:
         raise ValueError("empty word")
-    return _run_flips(x, 1)
+    codes = x.encode() if isinstance(x, str) else x
+    if codes[0] != _ONE:
+        raise ValueError("no balanced run at this position")
+    return _run_flips(codes[1:], _ONE, 1, 1, [0, 1], [0])
 
 
 def pair_source_sequence(x: str) -> list[int]:
@@ -90,5 +108,4 @@ def pair_target_sequence(y: str) -> list[int]:
     """
     if y[:3] != "101":
         raise ValueError("not in tau image")
-    run = _run_flips(y, 3)
-    return [run[0], 1, 2, 3, 1, 2] + run[2:]
+    return _run_flips(y.encode()[3:], _ONE, 1, 3, [0, 1, 2, 3, 1, 2], [0])

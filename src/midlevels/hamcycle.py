@@ -19,9 +19,10 @@ pair.  The flip-tree test on the pair source is read off byte patterns
 of the word (`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a
 tree record only where the patterns leave it open.  A backward boundary
 mirrors the basic path of a Dyck word g whose first run, reversed and
-complemented, ends the buffer; one right-to-left scan of the buffer
-emits that path's flips already mirrored, and one reverse puts them in
-walking order.
+complemented, ends the buffer.  It runs the scan that builds every
+forward flip list (`flipseq._run_flips`), told to read the buffer right
+to left with '0' opening a run, so the scan emits that path's flips
+already mirrored; one reverse puts them in walking order.
 
 `GeneratorState` can start at any vertex.  One decomposition of the
 start vertex gives both the first vertex of the basic path through it
@@ -37,7 +38,12 @@ from itertools import accumulate
 from math import comb
 
 from .bitwords import rev_complement
-from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
+from .flipseq import (
+    _run_flips,
+    flip_sequence,
+    pair_source_sequence,
+    pair_target_sequence,
+)
 from .trees import flip_tree_by_pattern, is_flip_tree, pair_image, pair_preimage
 
 __all__ = [
@@ -51,7 +57,6 @@ __all__ = [
     "default_start",
 ]
 
-_ZERO = ord("0")
 _STEP = {48: -1, 49: 1}  # lattice step of an ASCII '0' or '1'
 
 
@@ -74,11 +79,9 @@ def path_first_vertex(z: str) -> tuple[str, int]:
     whether the minimum level is touched once or more than once.
     """
     n2 = len(z)
-    if n2 == 0 or n2 % 2 or z.strip("01"):
-        raise ValueError("not a middle-levels word")
     n = n2 // 2
     wt = z.count("1")
-    if wt not in (n, n + 1):
+    if n2 == 0 or n2 % 2 or wt + z.count("0") != n2 or wt not in (n, n + 1):
         raise ValueError("not a middle-levels word")
 
     heights = list(accumulate(map(_STEP.__getitem__, z.encode()), initial=0))
@@ -187,10 +190,13 @@ def forward_sequence(z: str, flips: bool = True) -> list[int]:
     everything else walks the basic sequence.
     """
     if flips and _partner(z) is not None:
-        if z[1] == "1":
-            return pair_source_sequence(z)
-        return pair_target_sequence(z)
+        return _pair_sequence(z)
     return flip_sequence(z)
+
+
+def _pair_sequence(z: str) -> list[int]:
+    """The modified rule for z, a word of a flip pair."""
+    return pair_source_sequence(z) if z[1] == "1" else pair_target_sequence(z)
 
 
 class GeneratorState:
@@ -221,7 +227,8 @@ class GeneratorState:
         size = 2 * n + 1
         if start is None:
             start = default_start(n)
-        if len(start) != size or start.strip("01") or start.count("1") not in (n, n + 1):
+        # path_first_vertex checks the rest of the word
+        if len(start) != size or start[-1] not in "01":
             raise ValueError("not a middle-levels word")
         self.n = n
         self.flips = flips
@@ -231,21 +238,26 @@ class GeneratorState:
         z = start[:-1]
         if start[-1] == "0":
             y, t = path_first_vertex(z)
-            p = _partner(y) if flips and t else None
-            if p is not None:
+            p = _partner(y) if flips else None
+            if p is not None and t:
                 # z's basic path was traded away in a pair, so z lies on
                 # the partner's walk.  Steps 1 to 5 of the target rule
                 # [b, 1, 2, 3, 1, 2] visit the source's steps 5 to 1.
                 y = p
                 if p[1] == "0" and t < 6:
                     t = 6 - t
-            self._forward_pass(y)
-            self._k = t
+            seq = flip_sequence(y) if p is None else _pair_sequence(y)
+            seq.append(size)
         else:
-            # the pass walks g's basic path backwards, then closes
+            # the pass walks g's basic path mirrored and backwards, then
+            # closes: the scan reads g itself, '1' opening, with positions
+            # counting down from g's first bit mirrored to 2n
             g, t = path_first_vertex(rev_complement(z))
-            self._backward_pass(rev_complement(g).encode())
-            self._k = len(self._seq) - 1 - t
+            seq = _run_flips(g.encode()[1:], 49, -1, size - 1, [size, 0, size - 1], [1])
+            seq.reverse()
+            t = len(seq) - 1 - t
+        self._seq = seq
+        self._k = t
 
     def __iter__(self) -> GeneratorState:
         return self
@@ -297,55 +309,21 @@ class GeneratorState:
         # The pass mirrors the basic path from g = 1 rc(v) 0 rc(u), with
         # rc the reverse complement, which reads only g's first run
         # 1 rc(v) 0.  That run's mirror 1 v 0 ends the buffer, u 0 1 v 1,
-        # but for the last byte, which the scan takes as the opener.
-        self._backward_pass(self._buf)
-
-    def _start_forward(self) -> None:
-        self._forward_pass(self._buf[1:-1].decode())
-
-    def _forward_pass(self, y: str) -> None:
-        """Enter the forward pass from y + '0' at its first vertex."""
-        seq = forward_sequence(y, self.flips)
-        seq.append(2 * self.n + 1)
+        # but for the last byte, which is seeded as the opener.  Read right
+        # to left with '0' opening, the scan emits flip_sequence(g) with
+        # each p mirrored to 2n+1 - p, after the closing flip 2n+1; one
+        # reverse puts the pass in walking order.
+        size = 2 * self.n + 1
+        seq = _run_flips(self._buf[-2::-1], 48, -1, size - 1, [size, 0, size - 1], [1])
+        seq.reverse()
         self._seq = seq
         self._k = 0
 
-    def _backward_pass(self, codes: bytes | bytearray) -> None:
-        """Enter the backward pass that mirrors the basic path from g, at
-        its first vertex.  codes ends with rc(g)'s final bytes, rc the
-        reverse complement, up to the mirror of g's first run.
-
-        One scan reads codes right to left, that is g left to right: the
-        last byte, whatever it holds, opens the run, then a '0' opens a
-        nested run and a '1' closes one.  It emits flip_sequence(g)'s
-        entries in their order, position p of g mirrored to 2n+1 - p,
-        which counts down from the last byte; a closing emits one more
-        than its opener's mirror in place of flip_sequence's one less.
-        One reverse then gives the backward order, and the pass's closing
-        flip 2n+1, put first, ends up last.
-        """
-        size = 2 * self.n + 1
-        out = [size, 0, size - 1]  # closing flip; slot for b; 1 mirrored
-        put = out.append
-        slots = [1]
-        p = size - 1
-        for c in codes[-2::-1]:
-            p -= 1
-            if c == _ZERO:
-                slots.append(len(out))
-                put(0)
-                put(p)
-            else:
-                i = slots.pop()
-                out[i] = p
-                if not slots:
-                    out.reverse()
-                    self._seq = out
-                    self._k = 0
-                    return
-                put(out[i + 1] + 1)
-                put(p)
-        raise ValueError("no balanced run")
+    def _start_forward(self) -> None:
+        seq = forward_sequence(self._buf[1:-1].decode(), self.flips)
+        seq.append(2 * self.n + 1)
+        self._seq = seq
+        self._k = 0
 
     @property
     def buffer(self) -> bytearray:

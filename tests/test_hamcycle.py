@@ -12,6 +12,7 @@ from midlevels.flipseq import (
     pair_source_sequence,
     pair_target_sequence,
 )
+from midlevels import hamcycle
 from midlevels.hamcycle import (
     GeneratorState,
     default_start,
@@ -127,6 +128,33 @@ def test_state_validates_input():
         GeneratorState(2, "11111")
     with pytest.raises(ValueError):
         GeneratorState(2, "11x00")
+    # the constructor checks the length and the last character, and
+    # path_first_vertex the rest, down either pass's branch
+    for bad in ["1100x", "1x001", "00001"]:
+        with pytest.raises(ValueError, match="not a middle-levels word"):
+            GeneratorState(2, bad)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_resume_runs_the_flip_tree_test_once(n, monkeypatch):
+    # a start whose pass is forward tests its path's first vertex for a
+    # pair once, and only if that vertex starts 110 or 101; a start in a
+    # backward pass tests nothing
+    calls: list[str] = []
+    pattern = hamcycle.flip_tree_by_pattern
+
+    def counted(x: str) -> bool | None:
+        calls.append(x)
+        return pattern(x)
+
+    monkeypatch.setattr(hamcycle, "flip_tree_by_pattern", counted)
+    for start in all_words(2 * n + 1):
+        if start.count("1") not in (n, n + 1):
+            continue
+        calls.clear()
+        GeneratorState(n, start)
+        y = path_first_vertex(start[:-1])[0] if start[-1] == "0" else ""
+        assert len(calls) == (y[:3] in ("110", "101")), start
 
 
 def test_full_cycle_n1():
@@ -338,6 +366,18 @@ def test_init_spot_value():
     assert visited[0] == "0110010"
     assert visited[-1] == state.vertex()
     assert state.i == 13
+
+
+@settings(derandomize=True, deadline=None)
+@given(middle_words_up_to_500(top=True))
+def test_init_runs_one_bit_at_a_time_to_the_next_boundary(v):
+    n = len(v) // 2
+    state, visited = init(n, v)
+    assert visited[0] == v
+    assert len(visited) <= 4 * n + 3
+    for a, b in zip(visited, visited[1:]):
+        assert bin(int(a, 2) ^ int(b, 2)).count("1") == 1
+    assert state.at_first_vertex
 
 
 def test_init_at_a_boundary_is_a_no_op():
