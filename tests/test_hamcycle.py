@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midlevels import hamcycle
 from midlevels.bitwords import dyck_words, is_dyck_word
 from midlevels.flipseq import (
     flip_sequence,
     pair_source_sequence,
     pair_target_sequence,
 )
-from midlevels import hamcycle
 from midlevels.hamcycle import (
     GeneratorState,
     default_start,
