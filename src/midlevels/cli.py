@@ -18,7 +18,7 @@ from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
 from .verify import FULL_GRAPH_CAP, format_check, run_checks
 
 # Bytes per `gen` write, in either format, but at least one line: the
-# memory stays O(n) however long a pass is, and short lines take few
+# memory stays O(n) however long a round is, and short lines take few
 # writes.  Writes much larger than this were slower at n = 500.
 _CHUNK_BYTES = 1 << 16
 
@@ -104,10 +104,10 @@ def _text_chunks(
     next count - 1 steps, and the last line's newline, as text chunks.
 
     Each line starts with the newline that ends the line before it and
-    takes at most width bytes.  The lines gather in one chunk across pass
-    ends, and a chunk ends once it has no room for another line within
-    _CHUNK_BYTES; it takes at least one line.  The first chunk ends with
-    the first pass at the latest.
+    takes at most width bytes.  The lines gather in one chunk across the
+    ends of the state's flip lists, and a chunk ends once it has no room
+    for another line within _CHUNK_BYTES; it takes at least one line.
+    The first chunk ends with the first list at the latest.
     """
     limit = _CHUNK_BYTES
     chunk = bytearray(state.vertex(), "ascii")
@@ -115,7 +115,7 @@ def _text_chunks(
     for part in state._passes(count - 1):
         i = 0
         while len(chunk) + width * (len(part) - i) > limit:
-            # the rest of the pass may not fit: add the lines that surely do
+            # the rest of the list may not fit: add the lines that surely do
             j = i + max(1, (limit - len(chunk)) // width)
             emit(chunk, part[i:j])
             i = j
@@ -162,7 +162,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         width = len(line[-1])
 
         def emit(chunk: bytearray, flips: list[int]) -> None:
-            # the buffer still follows the walk, because each pass is
+            # the buffer still follows the walk, because each round is
             # built from the vertex it starts at
             for p in flips:
                 buf[p] ^= 1

@@ -12,13 +12,13 @@ partner y = 101w0v additionally admit modified rules
 paths cover the same vertices but with the endpoints exchanged.  That
 exchange is the splice the full generator uses to join cycles.
 
-One scan, `_run_flips`, builds the flips of a balanced run in either
-reading direction.  The direction is data: the byte that opens a nested
-run, the step between positions, and what the caller seeds before the
-scan starts.  `flip_sequence` and `pair_target_sequence` read left to
-right with '1' opening; the generator's backward pass reads its buffer
-right to left with '0' opening, which yields a basic path's flips
-mirrored.
+One scan, `_run_flips`, builds the flips of a balanced run, reading left
+to right with '1' opening a nested run and every other byte closing one.
+The generator's buffer is always binary, so its own scans need no closer
+test; `flip_sequence` and `pair_target_sequence` take words from anyone
+and check the run they scanned afterwards.  The generator also runs the
+scan over the suffix v of a round's first vertex 1u0v, which gives its
+backward pass.
 """
 
 from __future__ import annotations
@@ -29,43 +29,37 @@ __all__ = [
     "pair_target_sequence",
 ]
 
-_ZERO = ord("0")
 _ONE = ord("1")
 
 
 def _run_flips(
-    codes: bytes | bytearray, opener: int, step: int,
-    p: int, out: list[int], slots: list[int],
+    codes: bytes | bytearray, p: int, out: list[int], slots: list[int],
 ) -> list[int]:
-    """Finish the flips of a balanced run whose opener the caller seeded.
+    """Finish the flips of the runs open at position p.
 
-    The reading direction is data: opener is the byte that opens a
-    nested run (the other of '0' and '1' closes one), and step the
-    change of position from byte to byte of codes, counted from p, the
-    seeded opener's position.  out holds the seeded entries and slots the
-    indices in out still waiting for a closing position.  An opening at p
-    leaves a slot and appends p; a closing at p fills the last slot and,
-    unless that closes the run, appends its opener's position less step,
-    then p.  Nothing after the run is read.  Raises ValueError on a run
-    that does not close or a byte other than '0' and '1'.
+    codes holds the bytes after p, read left to right: '1' opens a
+    nested run and any other byte closes one.  out holds the entries so
+    far and slots the indices in out still waiting for a closing
+    position, one per open run; with none, the first byte must open.
+    An opening at p leaves a slot and appends p; a closing at p fills
+    the last slot and, unless that closes the last open run, appends its
+    opener's position less one, then p.  Nothing after that run is read.
+    Raises ValueError on a run that does not close.
     """
-    closer = opener ^ 1  # ASCII '0' and '1' differ in the last bit
     put = out.append
     for c in codes:
-        p += step
-        if c == opener:
+        p += 1
+        if c == 49:  # '1'
             slots.append(len(out))
             put(0)
             put(p)
-        elif c == closer:
+        else:
             i = slots.pop()
             out[i] = p
             if not slots:
                 return out
-            put(out[i + 1] - step)
+            put(out[i + 1] - 1)
             put(p)
-        else:
-            break
     raise ValueError("no balanced run at this position")
 
 
@@ -78,14 +72,19 @@ def flip_sequence(x: str | bytes | bytearray) -> list[int]:
     closes one opened at q.  Its length is 2|u|+2 and it never touches
     the suffix v, which is not read either: any word that starts with
     the run 1u0 gives the same sequence.  Raises on empty input and on a
-    first run that does not open with a 1 or does not close.
+    first run that does not open with a 1, does not close, or holds a
+    byte other than '0' and '1'.
     """
     if not x:
         raise ValueError("empty word")
     codes = x.encode() if isinstance(x, str) else x
     if codes[0] != _ONE:
         raise ValueError("no balanced run at this position")
-    return _run_flips(codes[1:], _ONE, 1, 1, [0, 1], [0])
+    seq = _run_flips(codes, 0, [], [])
+    # the scan took any byte other than '1' for a '0'
+    if codes[: seq[0]].strip(b"01"):
+        raise ValueError("no balanced run at this position")
+    return seq
 
 
 def pair_source_sequence(x: str) -> list[int]:
@@ -108,4 +107,8 @@ def pair_target_sequence(y: str) -> list[int]:
     """
     if y[:3] != "101":
         raise ValueError("not in tau image")
-    return _run_flips(y.encode()[3:], _ONE, 1, 3, [0, 1, 2, 3, 1, 2], [0])
+    codes = y.encode()
+    seq = _run_flips(codes[3:], 3, [0, 1, 2, 3, 1, 2], [0])
+    if codes[3 : seq[0]].strip(b"01"):
+        raise ValueError("no balanced run at this position")
+    return seq

@@ -1,34 +1,35 @@
 """The cyclic generator over the two middle levels.
 
 Vertices are the bitstrings of length 2n+1 with weight n or n+1; each
-step flips one bit.  The walk is organized in rounds of 4n+2 visits,
-made of two passes.  A forward pass walks one path of the length-2n
-words with last bit 0 and ends with the flip of the last bit to 1; the
-backward pass mirrors a path with last bit 1 and ends with the flip of
-the last bit back to 0, which lands on the next path's first vertex.
-Each pass is one list of flip positions whose final entry, 2n+1, is that
-closing flip, so the top bit just written says which pass comes next.
-Pass boundaries are the only points where any O(n) bookkeeping happens,
-so the amortized cost per visit is constant and the working set stays
-O(n).  The package's own drivers take the walk a pass at a time, as flip
-lists to apply to the buffer; the public cursor steps one vertex per
-call.
+step flips one bit.  The walk is organized in rounds of 4n+2 visits.  A
+round from a Dyck word x = 1u0v with top bit 0 walks a path forward to
+u01v, flips the top bit up, walks the mirror of the basic path from
+1 rc(v) 0 rc(u) back to u1v0 (rc the reverse complement) and flips the
+top bit down.  The round is one flip list, built at x by one scan read
+left to right: with P the pair rule of `flipseq.flip_sequence`,
 
-A forward boundary asks whether its first vertex is a word of a flip
-pair.  The flip-tree test on the pair source is read off byte patterns
-of the word (`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a
-tree record only where the patterns leave it open.  A backward boundary
-mirrors the basic path of a Dyck word g whose first run, reversed and
-complemented, ends the buffer.  It runs the scan that builds every
-forward flip list (`flipseq._run_flips`), told to read the buffer right
-to left with '0' opening a run, so the scan emits that path's flips
-already mirrored; one reverse puts them in walking order.
+    [b, 1] + P(u) + [2n+1, b] + P(v) + [b-1, 2n+1]
 
-`GeneratorState` can start at any vertex.  One decomposition of the
-start vertex gives both the first vertex of the basic path through it
-and its step index on that path; the constructor builds the pass from
-that first vertex as a boundary would and sets its cursor at that
-index, so every start yields the same cyclic listing, merely rotated.
+for b the position of the 0 closing x's first run.  The backward half
+scans the suffix v, which the forward half never touches, inside a
+virtual run opened at b that the top bit's 0 closes.  Round starts are
+the only points where any O(n) bookkeeping happens, so the amortized
+cost per visit is constant and the working set stays O(n).  The
+package's own drivers take the walk a round at a time, as flip lists to
+apply to the buffer; the public cursor steps one vertex per call.
+
+A round start asks whether x is a word of a flip pair, whose forward
+half follows the modified pair rules.  The flip-tree test on the pair
+source is read off byte patterns of the word
+(`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a tree record
+only where the patterns leave it open.
+
+`GeneratorState` can start at any vertex.  One decomposition gives the
+first vertex of the basic path through the start and the start's step
+index on it: on top bit 0 the round is built from that vertex, and on
+top bit 1, where the path is the mirrored backward half, from the
+decomposition's split of it.  Every start yields the same cyclic
+listing, merely rotated.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ def path_first_vertex(z: str) -> tuple[str, int]:
     directly from z's lattice path, splitting on the weight and on
     whether the minimum level is touched once or more than once.
     """
+    run, v, t = _split_path(z)
+    return run + v, t
+
+
+def _split_path(z: str) -> tuple[str, str, int]:
+    """path_first_vertex(z) with its first vertex y = 1u0v split after
+    the first run: (1u0, v, t)."""
     n2 = len(z)
     n = n2 // 2
     wt = z.count("1")
@@ -145,22 +153,13 @@ def path_first_vertex(z: str) -> tuple[str, int]:
     # the walk flips twice per position of y's first run, the opening 1
     # by [b, 1]: z lies past each piece in us and the 1 before it, half
     # a pair further in weight n + 1, and past 1w in two of the cases
-    t = 2 * sum(len(q) + 1 for q in us) + (wt == n + 1)
+    t = 2 * (sum(map(len, us)) + len(us)) + (wt == n + 1)
     if (wt == n) == unique:
         t += 2 * len(w) + 2
 
-    parts: list[str] = []
-    for piece in us:
-        parts.append("1")
-        parts.append(piece)
-    parts.append("1")
-    parts.append(w)
-    for piece in vs:
-        parts.append("0")
-        parts.append(piece)
-    parts.append("0")
-    parts.append(v)
-    return "".join(parts), t
+    # a 1 before each piece of us and before w, a 0 before each piece of
+    # vs and after the last
+    return "1".join(["", *us, w]) + "0".join(["", *vs, ""]), v, t
 
 
 def _flip_tree(x: str) -> bool:
@@ -175,9 +174,10 @@ def _flip_tree(x: str) -> bool:
 def _partner(y: str) -> str | None:
     """The other word of y's flip pair, or None.  A pair is a source
     110w0v for which is_flip_tree holds and its image 101w0v."""
-    if y[:3] == "110":
+    head = y[:3]
+    if head == "110":
         return pair_image(y) if _flip_tree(y) else None
-    if y[:3] == "101":
+    if head == "101":
         x = pair_preimage(y)
         return x if _flip_tree(x) else None
     return None
@@ -199,6 +199,30 @@ def _pair_sequence(z: str) -> list[int]:
     return pair_source_sequence(z) if z[1] == "1" else pair_target_sequence(z)
 
 
+def _round(seq: list[int], word: bytearray) -> list[int]:
+    """seq, a round's forward flips, with [2n+1, b] + P(v) + [b-1, 2n+1]
+    appended, read off word: the round's first vertex after a sentinel
+    byte, then the top bit 0.  Only the bytes after b are read.
+
+    The forward half ends on u01v, b the position of its 1: seq's first
+    flip, but for a pair source's [3, 1], which ends on 011w0v, so b is
+    2 and v starts with the 1 written at 3.  A start past the forward
+    half passes just [b].
+    """
+    b = seq[0]
+    if b == 3 and len(seq) == 2:
+        b = 2
+        codes = word[3:]
+        codes[0] = 49
+    else:
+        codes = word[b + 1 :]
+    slots = [len(seq)]
+    seq += (0, b)
+    _run_flips(codes, b, seq, slots)
+    seq += (b - 1, len(word) - 1)
+    return seq
+
+
 class GeneratorState:
     """Resumable cursor into the cyclic listing for one n.
 
@@ -209,14 +233,14 @@ class GeneratorState:
     the state and overwritten in place; use vertex() for a string
     snapshot.  i counts visits, the start vertex included.
 
-    The cursor is the current pass's flip list and the index of the next
-    flip in it.  The list ends with the pass's closing flip of position
-    2n+1; once that is done, the top bit just written picks the next
-    pass: 1 starts a backward pass, 0 a forward pass.
+    The cursor is the current round's flip list and the index of the
+    next flip in it.  The list ends with the flip of position 2n+1 down
+    to 0, which lands on the next round's first vertex, where the next
+    list is built.
 
-    A start vertex is split once, by path_first_vertex, into the first
-    vertex of its pass's path and its step index there; the pass is
-    built from the one and the cursor set at the other.
+    A start vertex is split once, by one path decomposition, into the
+    first vertex of the path it lies on and its step index there; the
+    round is built from the one and the cursor set at the other.
     """
 
     __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_last")
@@ -236,27 +260,22 @@ class GeneratorState:
         self._buf = bytearray(b"0") + start.encode()
         self._last: int | None = None
         z = start[:-1]
-        if start[-1] == "0":
-            y, t = path_first_vertex(z)
-            p = _partner(y) if flips else None
-            if p is not None and t:
-                # z's basic path was traded away in a pair, so z lies on
-                # the partner's walk.  Steps 1 to 5 of the target rule
-                # [b, 1, 2, 3, 1, 2] visit the source's steps 5 to 1.
-                y = p
-                if p[1] == "0" and t < 6:
-                    t = 6 - t
-            seq = flip_sequence(y) if p is None else _pair_sequence(y)
-            seq.append(size)
-        else:
-            # the pass walks g's basic path mirrored and backwards, then
-            # closes: the scan reads g itself, '1' opening, with positions
-            # counting down from g's first bit mirrored to 2n
-            g, t = path_first_vertex(rev_complement(z))
-            seq = _run_flips(g.encode()[1:], 49, -1, size - 1, [size, 0, size - 1], [1])
-            seq.reverse()
-            t = len(seq) - 1 - t
-        self._seq = seq
+        if start[-1] == "1":
+            self._start_backward(z)
+            return
+        y, t = path_first_vertex(z)
+        p = _partner(y) if flips else None
+        if p is not None and t:
+            # z's basic path was traded away in a pair, so z lies on
+            # the partner's walk.  Steps 1 to 5 of the target rule
+            # [b, 1, 2, 3, 1, 2] visit the source's steps 5 to 1.
+            y = p
+            if p[1] == "0" and t < 6:
+                t = 6 - t
+        seq = flip_sequence(y) if p is None else _pair_sequence(y)
+        # z agrees with y after the forward half's b, which is all _round
+        # reads, but for position 3 of a source's pass, which it sets
+        self._seq = _round(seq, self._buf)
         self._k = t
 
     def __iter__(self) -> GeneratorState:
@@ -271,19 +290,19 @@ class GeneratorState:
         self._last = p
         k += 1
         if k == len(seq):
-            self._next_pass()
+            self._start_forward()
         else:
             self._k = k
         self.i += 1
         return buf
 
     def _passes(self, steps: int) -> Iterator[list[int]]:
-        """Yield the flip lists of the next steps steps, a pass at a time.
+        """Yield the flip lists of the next steps steps, a round at a time.
 
-        The first list runs from the cursor to the end of its pass, each
-        later one is a whole pass, and the last is cut where the steps
+        The first list runs from the cursor to the end of its round, each
+        later one is a whole round, and the last is cut where the steps
         end.  The consumer applies each list to the buffer before asking
-        for the next one, because the next pass is built from the vertex
+        for the next one, because the next round is built from the vertex
         the list leads to.  The cursor's own fields (i, last_flip,
         at_first_vertex) are not advanced, so a driver that takes the walk
         this way does not also step the state.
@@ -292,38 +311,30 @@ class GeneratorState:
         while len(seq) < steps:
             yield seq
             steps -= len(seq)
-            self._next_pass()
+            self._start_forward()
             seq = self._seq
         if steps > 0:
             yield seq[:steps]
 
-    def _next_pass(self) -> None:
-        # the closing flip just done set the top bit, which picks the pass
-        if self._buf[-1] == 49:
-            self._start_backward()
-        else:
-            self._start_forward()
-
-    def _start_backward(self) -> None:
-        # The buffer holds the near-Dyck word y = u01v and the top bit 1.
-        # The pass mirrors the basic path from g = 1 rc(v) 0 rc(u), with
-        # rc the reverse complement, which reads only g's first run
-        # 1 rc(v) 0.  That run's mirror 1 v 0 ends the buffer, u 0 1 v 1,
-        # but for the last byte, which is seeded as the opener.  Read right
-        # to left with '0' opening, the scan emits flip_sequence(g) with
-        # each p mirrored to 2n+1 - p, after the closing flip 2n+1; one
-        # reverse puts the pass in walking order.
-        size = 2 * self.n + 1
-        seq = _run_flips(self._buf[-2::-1], 48, -1, size - 1, [size, 0, size - 1], [1])
-        seq.reverse()
-        self._seq = seq
-        self._k = 0
-
     def _start_forward(self) -> None:
-        seq = forward_sequence(self._buf[1:-1].decode(), self.flips)
-        seq.append(2 * self.n + 1)
-        self._seq = seq
+        # the buffer holds a round's first vertex and the top bit 0
+        buf = self._buf
+        self._seq = _round(forward_sequence(buf[1:-1].decode(), self.flips), buf)
         self._k = 0
+
+    def _start_backward(self, z: str) -> None:
+        # z + '1' lies in the backward half of the round from 1u0v, which
+        # walks the basic path from g = 1 rc(v) 0 rc(u) mirrored and
+        # backwards, so rc(z) lies on that path.  g's first run r reverse
+        # complemented is 1v0: the half's suffix and the top bit 0.
+        # The forward half is behind the start, so _round gets only its
+        # first flip b, and a word that ends 1v0 at b, padded with 0s.
+        r, _, t = _split_path(rev_complement(z))
+        word = bytearray(rev_complement(r).rjust(len(z) + 2, "0"), "ascii")
+        seq = _round([len(z) + 2 - len(r)], word)
+        self._seq = seq
+        # steps t of g's path are the last t steps of the backward half
+        self._k = len(seq) - 1 - t
 
     @property
     def buffer(self) -> bytearray:
@@ -337,8 +348,8 @@ class GeneratorState:
 
     @property
     def at_first_vertex(self) -> bool:
-        """True when the current vertex starts a forward pass."""
-        return self._k == 0 and self._buf[-1] == 48
+        """True when the current vertex starts a round."""
+        return self._k == 0
 
     def vertex(self) -> str:
         """String snapshot of the current vertex."""
@@ -346,11 +357,11 @@ class GeneratorState:
 
 
 def init(n: int, x: str, flips: bool = True) -> tuple[GeneratorState, list[str]]:
-    """Start at x and run to the next path boundary.
+    """Start at x and run to the start of the next round.
 
     Returns (state, visited): visited begins with x and ends with the
-    first vertex of the next forward pass; state.i == len(visited).  At
-    most one round of 4n+2 visits.
+    first vertex of the next round; state.i == len(visited).  At most one
+    round of 4n+2 visits.
     """
     state = GeneratorState(n, x, flips)
     visited = [state.vertex()]

@@ -8,7 +8,7 @@ CheckResult rows that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
 
 Walks are replayed as flip lists on the word's integer value: the
 listing as a stream, each path and six-cycle as its edges, (lower word,
-position).  Cycles are walked a pass at a time to count their lengths.
+position).  Cycles are walked a round at a time to count their lengths.
 No vertex is stored as a string.
 """
 
@@ -139,7 +139,7 @@ def _cycle_steps(state: GeneratorState) -> Iterator[int]:
     buf = state.buffer
     left = total_vertices(state.n) - 1
     for part in state._passes(left + 1):
-        # the next pass is built from the vertex this one leads to, so
+        # the next round is built from the vertex this one leads to, so
         # the buffer follows the walk before the flips are handed out
         for p in part:
             buf[p] ^= 1
@@ -153,9 +153,9 @@ def two_factor(n: int, flips_enabled: bool) -> list[int]:
 
     With flips disabled the rule decomposes the vertices into one cycle
     per plane tree; with flips enabled they merge into a single cycle.
-    Every forward pass starts at z + '0' for a Dyck word z, so each
-    cycle is walked from the first such start not yet reached, and only
-    its pass lengths are summed.
+    Every round starts at z + '0' for a Dyck word z, so each cycle is
+    walked from the first such start not yet reached, and only its round
+    lengths are summed.
     """
     if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
@@ -173,7 +173,7 @@ def two_factor(n: int, flips_enabled: bool) -> list[int]:
             for p in part:
                 buf[p] ^= 1
             length += len(part)
-            # a pass ending on top bit 0 lands on a forward pass's start
+            # a list ending on top bit 0 lands on a round's first vertex
             if buf[-1] == 48:
                 y = buf[1:-1].decode()
                 if y == z:

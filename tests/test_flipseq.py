@@ -119,6 +119,14 @@ def test_pair_target_sequence_rejects_wrong_prefix():
         pair_target_sequence("110100")
 
 
+@pytest.mark.parametrize("bad", ["101a00", "1011a0", "1011"])
+def test_pair_target_sequence_rejects_a_run_that_is_not_binary_or_open(bad):
+    # the scan takes any byte other than '1' for a '0', so the run it
+    # closed is checked afterwards
+    with pytest.raises(ValueError):
+        pair_target_sequence(bad)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_pair_walks_swap_endpoints(n):
     # the two modified walks end where the partner's basic walk ends

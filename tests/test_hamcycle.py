@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midlevels import hamcycle
-from midlevels.bitwords import dyck_words, is_dyck_word
+from midlevels.bitwords import decompose_near_dyck, dyck_words, is_dyck_word
 from midlevels.flipseq import (
     flip_sequence,
     pair_source_sequence,
@@ -23,13 +23,12 @@ from midlevels.hamcycle import (
     path_first_vertex,
     total_vertices,
 )
+from midlevels.trees import pair_image
 
 from helpers import (
     all_words,
     apply_flips,
     backward_pass_by_decomposition,
-    brute_near_dyck_words,
-    full_table_flip_sequence,
     hamming,
     is_rotation,
     middle_words,
@@ -273,48 +272,101 @@ def test_resume_on_the_pair_partner_walk(n):
         assert got == flips[j : j + round_len]
 
 
+def _round_oracle(x: str, flips: bool) -> list[int]:
+    # the forward pass, the top bit up, and the backward pass from the
+    # near-Dyck word the forward pass reaches
+    forward = forward_sequence(x, flips)
+    y = apply_flips(x, forward)[-1]
+    return forward + [len(x) + 1] + backward_pass_by_decomposition(y)
+
+
+def _built_round(state: GeneratorState, x: str) -> list[int]:
+    # the round a round start builds from the live buffer x + '0'
+    state.buffer[1:] = (x + "0").encode()
+    state._start_forward()
+    assert state._k == 0
+    return state._seq
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_boundaries_match_the_oracles(n):
-    # a boundary builds its pass from the live buffer: a forward pass
-    # from every Dyck word, a backward pass from every near-Dyck word
-    size = 2 * n + 1
-    state = GeneratorState(n, flips=False)
-    for x in dyck_words(n):
-        state.buffer[1:] = (x + "0").encode()
-        state._start_forward()
-        assert state._seq == full_table_flip_sequence(x) + [size]
-        assert state._k == 0
-    for y in brute_near_dyck_words(n):
-        state.buffer[1:] = (y + "1").encode()
-        state._start_backward()
-        assert state._seq == backward_pass_by_decomposition(y)
-        assert state._k == 0
+    # a round start builds the whole round from every Dyck word, with
+    # pair rounds and without
+    for flips in (False, True):
+        state = GeneratorState(n, flips=flips)
+        for x in dyck_words(n):
+            got = _built_round(state, x)
+            assert len(got) == 4 * n + 2
+            assert got == _round_oracle(x, flips)
+
+
+@st.composite
+def round_starts_up_to_500(draw) -> tuple[str, str, bool]:
+    """(kind, x, flips): a Dyck word x of length 2n for n up to 500, and
+    whether pair rounds are on.  A third of the draws are plain words,
+    a third thin-leaf pair sources 1100v and a third their targets."""
+    kind = draw(st.sampled_from(["plain", "source", "target"]))
+    if kind == "plain":
+        return kind, _dyck(draw, draw(st.integers(1, 500))), draw(st.booleans())
+    # v is made of blocks 1(10)^j0 with j != 1, so the word's only 1100
+    # factor is its first and the pattern test makes it a flip tree
+    left = draw(st.integers(2, 498))
+    blocks = []
+    while left:
+        size = draw(st.integers(1, left))
+        if size == 2:
+            size = 1
+        blocks.append("1" + "10" * (size - 1) + "0")
+        left -= size
+    x = "1100" + "".join(blocks)
+    return kind, (x if kind == "source" else pair_image(x)), True
+
+
+@settings(derandomize=True, deadline=None)
+@given(round_starts_up_to_500())
+def test_round_lists_match_the_oracle(start):
+    kind, x, flips = start
+    n = len(x) // 2
+    got = _built_round(GeneratorState(n, flips=flips), x)
+    assert len(got) == 4 * n + 2
+    assert got == _round_oracle(x, flips)
+    if kind == "source":
+        # a source's backward pass reads its suffix from position 3,
+        # which the forward pass [3, 1] flipped
+        assert got[:4] == [3, 1, 2 * n + 1, 2]
+    elif kind == "target":
+        assert got[1:6] == [1, 2, 3, 1, 2]
 
 
 def _backward_walk(y: str) -> GeneratorState:
-    # a walk entering the backward pass at y + '1' through the boundary
-    n = len(y) // 2
-    walk = GeneratorState(n)
-    walk.buffer[1:] = (y + "1").encode()
-    walk._start_backward()
+    # a walk at y + '1': the round from x = 1u0v, built without pair
+    # rules so that its forward pass reaches y, and stepped through it;
+    # later rounds may use them
+    u, v = decompose_near_dyck(y)
+    walk = GeneratorState(len(y) // 2, f"1{u}0{v}0", flips=False)
+    walk.flips = True
+    for _ in range(2 * len(u) + 3):
+        next(walk)
+    assert walk.vertex() == y + "1"
     return walk
 
 
 @settings(derandomize=True, deadline=None)
 @given(near_dyck_words_up_to_500())
 def test_backward_boundary_matches_the_oracle(y):
-    assert _backward_walk(y)._seq == backward_pass_by_decomposition(y)
+    walk = _backward_walk(y)
+    assert walk._seq[walk._k :] == backward_pass_by_decomposition(y)
 
 
 @settings(derandomize=True, deadline=None)
 @given(near_dyck_words_up_to_500(), st.data())
 def test_resume_inside_a_backward_pass(y, data):
-    # the constructor reads a backward pass off rc(g), the boundary off
-    # the buffer: resuming at a vertex of the pass, whose last bit is 1,
-    # continues the walk stepped from the pass's first vertex
+    # the constructor builds a backward pass from the split of rc(g),
+    # the round start from the buffer: resuming at a vertex of the
+    # pass, whose last bit is 1, continues the walk stepped through it
     n = len(y) // 2
     walk = _backward_walk(y)
-    for _ in range(data.draw(st.integers(0, len(walk._seq) - 1))):
+    for _ in range(data.draw(st.integers(0, len(walk._seq) - walk._k - 1))):
         next(walk)
     v = walk.vertex()
     assert v[-1] == "1"
