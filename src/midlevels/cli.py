@@ -162,8 +162,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         width = len(line[-1])
 
         def emit(chunk: bytearray, flips: list[int]) -> None:
-            # the buffer still follows the walk, because each round is
-            # built from the vertex it starts at
+            # the buffer still follows the walk, because a round start
+            # reads the vertex it starts at
             for p in flips:
                 buf[p] ^= 1
             chunk += b"".join(map(line.__getitem__, flips))

@@ -5,14 +5,20 @@ step flips one bit.  The walk is organized in rounds of 4n+2 visits.  A
 round from a Dyck word x = 1u0v with top bit 0 walks a path forward to
 u01v, flips the top bit up, walks the mirror of the basic path from
 1 rc(v) 0 rc(u) back to u1v0 (rc the reverse complement) and flips the
-top bit down.  The round is one flip list, built at x by one scan read
-left to right: with P the pair rule of `flipseq.flip_sequence`,
+top bit down.  The round is one flip list: with P the pair rule of
+`flipseq.flip_sequence`,
 
     [b, 1] + P(u) + [2n+1, b] + P(v) + [b-1, 2n+1]
 
-for b the position of the 0 closing x's first run.  The backward half
-scans the suffix v, which the forward half never touches, inside a
-virtual run opened at b that the top bit's 0 closes.  Round starts are
+for b the position of the 0 closing x's first run.  It lists each
+position p = 1, ..., 2n+1 in order, after p's entry; v is read as the
+inside of a virtual run (b, 2n+1).  The next round starts at the
+rotation u1v0, so its list is this one shifted left by one entry pair,
+less one: every matched pair of x but (1, b) moves one position left,
+and the virtual pair becomes the new word's pair (b-1, 2n).  Only the
+entries of 2n+1 and of the new first close are set anew.  A round is
+scanned off x only after a pair target's round, which is no such
+table, or a resume; a pair word takes its pair rule.  Round starts are
 the only points where any O(n) bookkeeping happens, so the amortized
 cost per visit is constant and the working set stays O(n).  The
 package's own drivers take the walk a round at a time, as flip lists to
@@ -183,14 +189,17 @@ def _partner(y: str) -> str | None:
     return None
 
 
-def forward_sequence(z: str, flips: bool = True) -> list[int]:
+def forward_sequence(z: str | bytearray, flips: bool = True) -> list[int]:
     """Flip sequence the generator walks from first vertex z.
 
     With flips enabled, the words of a pair get the modified pair rules;
-    everything else walks the basic sequence.
+    everything else walks the basic sequence.  z may be the word's ASCII
+    bytes, decoded only if it starts 110 or 101, as every pair word does.
     """
-    if flips and _partner(z) is not None:
-        return _pair_sequence(z)
+    if flips and z[1:2] != z[2:3]:
+        x = z if isinstance(z, str) else z.decode()
+        if _partner(x) is not None:
+            return _pair_sequence(x)
     return flip_sequence(z)
 
 
@@ -236,7 +245,8 @@ class GeneratorState:
     The cursor is the current round's flip list and the index of the
     next flip in it.  The list ends with the flip of position 2n+1 down
     to 0, which lands on the next round's first vertex, where the next
-    list is built.
+    list is built, mostly by shifting this one: a list that _passes
+    yields must not be mutated.
 
     A start vertex is split once, by one path decomposition, into the
     first vertex of the path it lies on and its step index there; the
@@ -303,7 +313,8 @@ class GeneratorState:
         later one is a whole round, and the last is cut where the steps
         end.  The consumer applies each list to the buffer before asking
         for the next one, because the next round is built from the vertex
-        the list leads to.  The cursor's own fields (i, last_flip,
+        the list leads to, and must not mutate it, because the next round
+        is derived from it.  The cursor's own fields (i, last_flip,
         at_first_vertex) are not advanced, so a driver that takes the walk
         this way does not also step the state.
         """
@@ -317,10 +328,21 @@ class GeneratorState:
             yield seq[:steps]
 
     def _start_forward(self) -> None:
-        # the buffer holds a round's first vertex and the top bit 0
+        # the buffer holds a round's first vertex x and the top bit 0
         buf = self._buf
-        self._seq = _round(forward_sequence(buf[1:-1].decode(), self.flips), buf)
+        prev = self._seq
         self._k = 0
+        if len(prev) != 2 * len(buf) - 2 or prev[3] != 2:  # not a table
+            seq = forward_sequence(buf[1:-1], self.flips)
+        elif self.flips and buf[2] != buf[3] and _partner(x := buf[1:-1].decode()):
+            seq = _pair_sequence(x)  # x starts 110 or 101, as pair words do
+        else:
+            self._seq = seq = prev[:]
+            seq[:-2:2] = [e - 1 for e in prev[2::2]]
+            b = seq[0]
+            seq[2 * b - 2], seq[-2] = len(buf) - 1, b - 1
+            return
+        self._seq = _round(seq, buf)
 
     def _start_backward(self, z: str) -> None:
         # z + '1' lies in the backward half of the round from 1u0v, which

@@ -281,8 +281,10 @@ def _round_oracle(x: str, flips: bool) -> list[int]:
 
 
 def _built_round(state: GeneratorState, x: str) -> list[int]:
-    # the round a round start builds from the live buffer x + '0'
+    # the round a round start scans from the live buffer x + '0'; an
+    # empty finished round keeps it from shifting the one before
     state.buffer[1:] = (x + "0").encode()
+    state._seq = []
     state._start_forward()
     assert state._k == 0
     return state._seq
@@ -336,6 +338,50 @@ def test_round_lists_match_the_oracle(start):
         assert got[:4] == [3, 1, 2 * n + 1, 2]
     elif kind == "target":
         assert got[1:6] == [1, 2, 3, 1, 2]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_round_of_the_cycle_matches_the_oracle(n, monkeypatch):
+    # a round start shifts the finished round's table, and scans only
+    # after a target round: walk every cycle, with pair rounds (one
+    # cycle) and without, and check each round on arrival
+    scans = []
+    scan = hamcycle.forward_sequence
+    monkeypatch.setattr(
+        hamcycle, "forward_sequence", lambda *args: scans.append(1) or scan(*args)
+    )
+    for flips in (False, True):
+        seen: set[str] = set()
+        targets = 0
+        for x in dyck_words(n):
+            if x in seen:
+                continue
+            state = GeneratorState(n, x + "0", flips)
+            while x not in seen:
+                seen.add(x)
+                seq = state._seq
+                assert seq == _round_oracle(x, flips)
+                targets += seq[1:6] == [1, 2, 3, 1, 2]
+                for _ in seq:
+                    next(state)
+                x = state.vertex()[:-1]
+        assert len(seen) == len(list(dyck_words(n)))
+        assert len(scans) == targets
+        scans.clear()
+
+
+@settings(derandomize=True, deadline=None)
+@given(round_starts_up_to_500())
+def test_the_round_after_matches_the_oracle(start):
+    # the next round is shifted from a plain or source round, scanned
+    # after a target round, and built by the pair rules for a pair word
+    _, x, flips = start
+    state = GeneratorState(len(x) // 2, flips=flips)
+    buf = state.buffer
+    for p in _built_round(state, x):
+        buf[p] ^= 1
+    state._start_forward()
+    assert state._seq == _round_oracle(buf[1:-1].decode(), flips)
 
 
 def _backward_walk(y: str) -> GeneratorState:
