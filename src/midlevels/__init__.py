@@ -3,10 +3,13 @@ Boolean lattice: all bitstrings of length 2n+1 with weight n or n+1,
 each obtained from the previous by a single bit flip, visited exactly
 once per cycle.  Generation is constant amortized time per vertex and
 O(n) space; the verify module re-derives the structural facts the
-stepping rule relies on, at desk scale."""
+stepping rule relies on, at desk scale.
+
+Importing the package loads only the generator.  The check suite is
+loaded on first use: by `run_suite`, or by importing `midlevels.verify`
+itself."""
 
 from .hamcycle import GeneratorState, generate, ham_cycle, init, total_vertices
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -19,3 +22,12 @@ __all__ = [
     "total_vertices",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: run_suite imports the check suite when it is first read
+    if name == "run_suite":
+        from . import verify
+
+        return verify.run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from typing import TextIO
 
 from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
-from .verify import FULL_GRAPH_CAP, format_check, run_checks
 
 # Bytes per `gen` write, in either format, but at least one line: the
 # memory stays O(n) however long a round is, and short lines take few
@@ -180,17 +179,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_n <= FULL_GRAPH_CAP:
+    # the check suite is imported here, so that `gen` never loads it
+    from . import verify
+
+    if not 1 <= args.max_n <= verify.FULL_GRAPH_CAP:
         print(
-            f"error: --max-n must be between 1 and {FULL_GRAPH_CAP}",
+            f"error: --max-n must be between 1 and {verify.FULL_GRAPH_CAP}",
             file=sys.stderr,
         )
         return 2
     failed = False
     with _piped_stdout() as out:
         for n in range(1, args.max_n + 1):
-            for r in run_checks(n):
-                print(format_check(r), file=out)
+            for r in verify.run_checks(n):
+                print(verify.format_check(r), file=out)
                 failed = failed or not r.passed
             # each n's lines go out as soon as its checks are done
             out.flush()

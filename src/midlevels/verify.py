@@ -15,8 +15,8 @@ No vertex is stored as a string.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .bitwords import dyck_words
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
@@ -49,8 +49,7 @@ FULL_GRAPH_CAP = 9
 TREE_GRAPH_CAP = 12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     n: int
     passed: bool
@@ -203,8 +202,7 @@ def plane_classes(n: int) -> dict[str, str]:
     return {x: canonical_root(x) for x in dyck_words(n)}
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(NamedTuple):
     """Directed graph on plane-tree orbits: one arc per flip tree,
     from its own orbit to its partner's orbit."""
 

@@ -9,12 +9,23 @@ from pathlib import Path
 
 import pytest
 
-from midlevels import cli
+from midlevels import cli, verify
 from midlevels.cli import main
 from midlevels.hamcycle import GeneratorState, total_vertices
 from midlevels.verify import CheckResult
 
 N1_CYCLE = ["100", "110", "010", "011", "001", "101"]
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with this package's src/ first on PYTHONPATH, so
+    that a fresh interpreter imports the code under test."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def _run(capsys, argv):
@@ -261,7 +272,7 @@ def test_verify_writes_each_n_before_checking_the_next(monkeypatch):
         written_before[n] = raw.getvalue()
         return [CheckResult("fake", n, True)]
 
-    monkeypatch.setattr(cli, "run_checks", fake_checks)
+    monkeypatch.setattr(verify, "run_checks", fake_checks)
     assert main(["verify", "--max-n", "2"]) == 0
     assert written_before == {1: b"", 2: b"CHECK fake n=1 PASS\n"}
     assert raw.getvalue() == b"CHECK fake n=1 PASS\nCHECK fake n=2 PASS\n"
@@ -314,19 +325,49 @@ def test_unknown_command_exits_via_argparse():
 )
 def test_gen_into_early_closed_pipe_exits_cleanly(argv, first_line):
     # `midlevels ARGS | head -1`: the reader leaves after one line
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p
-    )
     with subprocess.Popen(
         [sys.executable, "-m", "midlevels.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_src_env(),
     ) as proc:
         assert proc.stdout.readline() == first_line
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err
+
+
+# Run in a fresh interpreter: prints, as its last line, which of the
+# check suite's modules the statements before it loaded.
+_LOADED = """
+import sys
+{}
+print([m for m in ("midlevels.verify", "dataclasses", "inspect") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        pytest.param("import midlevels", "[]", id="import"),
+        pytest.param(
+            'from midlevels import cli\ncli.main(["gen", "-n", "3", "--count", "5"])',
+            "[]",
+            id="gen",
+        ),
+        pytest.param("import midlevels.verify", "['midlevels.verify']", id="verify"),
+    ],
+)
+def test_gen_does_not_load_the_check_suite(code, loaded):
+    # each child compiles and runs what it imports, so `gen` starts
+    # faster without verify, and verify without dataclasses and inspect
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED.format(code)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import midlevels
 from midlevels import verify
 from midlevels.cli import main
 from midlevels.flipseq import flip_sequence
@@ -364,3 +365,21 @@ def test_run_suite_small():
     assert all(r.passed for r in results)
     with pytest.raises(ValueError):
         run_suite(10)
+
+
+def test_run_suite_is_a_lazy_package_attribute():
+    assert midlevels.run_suite is verify.run_suite
+    from midlevels import run_suite as lazy
+
+    assert lazy is run_suite
+    assert midlevels.__all__ == [
+        "GeneratorState",
+        "generate",
+        "ham_cycle",
+        "init",
+        "run_suite",
+        "total_vertices",
+        "__version__",
+    ]
+    with pytest.raises(AttributeError):
+        midlevels.no_such_name
