@@ -18,8 +18,9 @@ The generator's buffer is always binary, so its own scans need no closer
 test; `flip_sequence` and `pair_target_sequence` take words from anyone
 and check the run they scanned afterwards.  The generator also runs the
 scan over the suffix v of a round's first vertex 1u0v, which gives its
-backward pass, but only where it cannot shift the round before, whose
-every matched pair but the first moves one position left (`hamcycle`).
+backward pass, but only at a resume: every later round is the one
+before shifted, whose every matched pair but the first moves one
+position left, and a pair round is a patch of that table (`hamcycle`).
 """
 
 from __future__ import annotations

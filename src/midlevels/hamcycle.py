@@ -16,13 +16,16 @@ inside of a virtual run (b, 2n+1).  The next round starts at the
 rotation u1v0, so its list is this one shifted left by one entry pair,
 less one: every matched pair of x but (1, b) moves one position left,
 and the virtual pair becomes the new word's pair (b-1, 2n).  Only the
-entries of 2n+1 and of the new first close are set anew.  A round is
-scanned off x only after a pair target's round, which is no such
-table, or a resume; a pair word takes its pair rule.  Round starts are
-the only points where any O(n) bookkeeping happens, so the amortized
-cost per visit is constant and the working set stays O(n).  The
-package's own drivers take the walk a round at a time, as flip lists to
-apply to the buffer; the public cursor steps one vertex per call.
+entries of 2n+1 and of the new first close are set anew.  A pair word's
+round is its table with the entries of at most five positions patched,
+and a pair target's round is shifted as the table of its source, whose
+basic round ends on the same vertex.  So every round start is a shift,
+but for the first one after a resume past a forward half, and the walk
+scans the word only at a resume.  Round starts are the only points
+where any O(n) bookkeeping happens, so the amortized cost per visit is
+constant and the working set stays O(n).  The package's own drivers
+take the walk a round at a time, as flip lists to apply to the buffer;
+the public cursor steps one vertex per call.
 
 A round start asks whether x is a word of a flip pair, whose forward
 half follows the modified pair rules.  The flip-tree test on the pair
@@ -189,23 +192,19 @@ def _partner(y: str) -> str | None:
     return None
 
 
-def forward_sequence(z: str | bytearray, flips: bool = True) -> list[int]:
-    """Flip sequence the generator walks from first vertex z.
+def forward_sequence(x: str, flips: bool = True) -> list[int]:
+    """Flip sequence of the forward half from first vertex x.
 
     With flips enabled, the words of a pair get the modified pair rules;
-    everything else walks the basic sequence.  z may be the word's ASCII
-    bytes, decoded only if it starts 110 or 101, as every pair word does.
+    everything else walks the basic sequence.  The generator does not
+    call this: it builds its rounds as tables, a pair round by patching
+    its word's table (_pair_round).
     """
-    if flips and z[1:2] != z[2:3]:
-        x = z if isinstance(z, str) else z.decode()
-        if _partner(x) is not None:
-            return _pair_sequence(x)
-    return flip_sequence(z)
-
-
-def _pair_sequence(z: str) -> list[int]:
-    """The modified rule for z, a word of a flip pair."""
-    return pair_source_sequence(z) if z[1] == "1" else pair_target_sequence(z)
+    if flips and _partner(x) is not None:
+        if x[1] == "1":
+            return pair_source_sequence(x)
+        return pair_target_sequence(x)
+    return flip_sequence(x)
 
 
 def _round(seq: list[int], word: bytearray) -> list[int]:
@@ -214,22 +213,35 @@ def _round(seq: list[int], word: bytearray) -> list[int]:
     byte, then the top bit 0.  Only the bytes after b are read.
 
     The forward half ends on u01v, b the position of its 1: seq's first
-    flip, but for a pair source's [3, 1], which ends on 011w0v, so b is
-    2 and v starts with the 1 written at 3.  A start past the forward
-    half passes just [b].
+    flip.  A start past the forward half passes just [b].
     """
     b = seq[0]
-    if b == 3 and len(seq) == 2:
-        b = 2
-        codes = word[3:]
-        codes[0] = 49
-    else:
-        codes = word[b + 1 :]
     slots = [len(seq)]
     seq += (0, b)
-    _run_flips(codes, b, seq, slots)
+    _run_flips(word[b + 1 :], b, seq, slots)
     seq += (b - 1, len(word) - 1)
     return seq
+
+
+def _pair_round(seq: list[int], source: bool) -> None:
+    """Patch seq, the round table of a pair word, into its pair round.
+
+    A source x = 110w0v walks [3, 1] to 011w0v, so its backward half
+    reads 1w0v from position 3 inside a virtual run opened at 2: the
+    entries of 1, 2, 3, of the close b of x's first run and of 2n+1
+    change.  A target y = 101w0v walks [b, 1, 2, 3, 1, 2], b the close
+    of the run at 3, and then w as in its table: the flips before w
+    change, and b and 2n+1 take the entries of a first close b.
+    """
+    top = len(seq) // 2
+    if source:
+        b = seq[0]
+        seq[0], seq[2], seq[4], seq[2 * b - 2], seq[-2] = 3, top, b, 2, 1
+    else:
+        b = seq[4]
+        seq[0] = b
+        seq[2:6] = 2, 3, 1, 2
+        seq[2 * b - 2], seq[-2] = top, b - 1
 
 
 class GeneratorState:
@@ -245,8 +257,8 @@ class GeneratorState:
     The cursor is the current round's flip list and the index of the
     next flip in it.  The list ends with the flip of position 2n+1 down
     to 0, which lands on the next round's first vertex, where the next
-    list is built, mostly by shifting this one: a list that _passes
-    yields must not be mutated.
+    list is built by shifting this one, except after a resume past a
+    forward half: a list that _passes yields must not be mutated.
 
     A start vertex is split once, by one path decomposition, into the
     first vertex of the path it lies on and its step index there; the
@@ -282,10 +294,12 @@ class GeneratorState:
             y = p
             if p[1] == "0" and t < 6:
                 t = 6 - t
-        seq = flip_sequence(y) if p is None else _pair_sequence(y)
         # z agrees with y after the forward half's b, which is all _round
-        # reads, but for position 3 of a source's pass, which it sets
-        self._seq = _round(seq, self._buf)
+        # reads, but on a target's walk it may differ at b and inside w
+        word = self._buf if p is None else bytearray(f"0{y}0", "ascii")
+        self._seq = _round(flip_sequence(y), word)
+        if p is not None:
+            _pair_round(self._seq, y[1] == "1")
         self._k = t
 
     def __iter__(self) -> GeneratorState:
@@ -332,17 +346,21 @@ class GeneratorState:
         buf = self._buf
         prev = self._seq
         self._k = 0
-        if len(prev) != 2 * len(buf) - 2 or prev[3] != 2:  # not a table
-            seq = forward_sequence(buf[1:-1], self.flips)
-        elif self.flips and buf[2] != buf[3] and _partner(x := buf[1:-1].decode()):
-            seq = _pair_sequence(x)  # x starts 110 or 101, as pair words do
-        else:
+        if len(prev) == 2 * len(buf) - 2:
             self._seq = seq = prev[:]
             seq[:-2:2] = [e - 1 for e in prev[2::2]]
+            if prev[3] != 2:
+                # a pair target's round: shift its source's table, which
+                # has entry 3 at 2 and the positions 2 and 3 in order
+                seq[0] = seq[3] = 2
+                seq[5] = 3
             b = seq[0]
             seq[2 * b - 2], seq[-2] = len(buf) - 1, b - 1
-            return
-        self._seq = _round(seq, buf)
+        else:  # the rest of a round resumed past its forward half
+            self._seq = seq = _round(flip_sequence(buf[1:-1]), buf)
+        # x starts 110 or 101, as pair words do, only if bits 2 and 3 differ
+        if self.flips and buf[2] != buf[3] and _partner(buf[1:-1].decode()):
+            _pair_round(seq, buf[2] == 49)
 
     def _start_backward(self, z: str) -> None:
         # z + '1' lies in the backward half of the round from 1u0v, which

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from midlevels import hamcycle
@@ -32,6 +32,7 @@ from helpers import (
     hamming,
     is_rotation,
     middle_words,
+    rotate,
 )
 
 N1_CYCLE = ["100", "110", "010", "011", "001", "101"]
@@ -340,16 +341,84 @@ def test_round_lists_match_the_oracle(start):
         assert got[1:6] == [1, 2, 3, 1, 2]
 
 
+def _patched_round(x: str) -> list[int]:
+    # a pair word's round patched from its basic table T, which lists
+    # the entry of position p at 2p-2 and p at 2p-1; the patch may
+    # change only the slots that the pair rule names
+    n = len(x) // 2
+    table = _round_oracle(x, False)
+    seq = table[:]
+    hamcycle._pair_round(seq, x[1] == "1")
+    if x[1] == "1":  # a source 110w0v, b = T[0]
+        b = table[0]
+        patched = seq[0], seq[2], seq[4], seq[2 * b - 2], seq[-2]
+        assert patched == (3, 2 * n + 1, b, 2, 1)
+        slots = {0, 2, 4, 2 * b - 2, 4 * n}
+    else:  # a target 101w0v, b = T[4]
+        b = table[4]
+        patched = seq[0], seq[2:6], seq[2 * b - 2], seq[-2]
+        assert patched == (b, [2, 3, 1, 2], 2 * n + 1, b - 1)
+        slots = {0, 2, 3, 4, 5, 2 * b - 2, 4 * n}
+    assert {i for i, (e, f) in enumerate(zip(table, seq)) if e != f} <= slots
+    return seq
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pair_rounds_patch_the_basic_table(n):
+    pairs = [x for x in dyck_words(n) if hamcycle._partner(x) is not None]
+    assert pairs
+    for x in pairs:
+        assert _patched_round(x) == _round_oracle(x, True)
+
+
+@settings(derandomize=True, deadline=None)
+@given(round_starts_up_to_500())
+def test_large_pair_rounds_patch_the_basic_table(start):
+    _, x, _ = start
+    assume(hamcycle._partner(x) is not None)
+    assert _patched_round(x) == _round_oracle(x, True)
+
+
+def _unrotate(x: str) -> str:
+    # the Dyck word 1u0v whose round ends on x = u1v0: the 1 opens x's
+    # last run, after the last return of x[:-1] to level 0
+    h = j = 0
+    for i, c in enumerate(x[:-1]):
+        if h == 0:
+            j = i
+        h += 1 if c == "1" else -1
+    return "1" + x[:j] + "0" + x[j + 1 : -1]
+
+
+@settings(derandomize=True, deadline=None)
+@given(round_starts_up_to_500())
+def test_the_round_shifted_into_x_matches_the_oracle(start):
+    # the round before x is a basic table, built without pair rules so
+    # that it ends on x; stepping through it derives x's round from it
+    _, x, flips = start
+    before = _unrotate(x)
+    assert rotate(before) == x
+    walk = GeneratorState(len(x) // 2, before + "0", flips=False)
+    walk.flips = flips
+    for _ in range(len(walk._seq)):
+        next(walk)
+    assert walk.vertex() == x + "0"
+    assert walk._k == 0
+    assert walk._seq == _round_oracle(x, flips)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_round_of_the_cycle_matches_the_oracle(n, monkeypatch):
-    # a round start shifts the finished round's table, and scans only
-    # after a target round: walk every cycle, with pair rounds (one
-    # cycle) and without, and check each round on arrival
+    # a round start shifts the finished round's table, as its source's
+    # table after a target round, and patches it for a pair word: walk
+    # every cycle, with pair rounds (one cycle) and without, check each
+    # round on arrival, and that no round after the first is scanned
     scans = []
-    scan = hamcycle.forward_sequence
-    monkeypatch.setattr(
-        hamcycle, "forward_sequence", lambda *args: scans.append(1) or scan(*args)
-    )
+    for name in ("flip_sequence", "_round"):
+        scan = getattr(hamcycle, name)
+        monkeypatch.setattr(
+            hamcycle, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
+        )
     for flips in (False, True):
         seen: set[str] = set()
         targets = 0
@@ -362,12 +431,13 @@ def test_every_round_of_the_cycle_matches_the_oracle(n, monkeypatch):
                 seq = state._seq
                 assert seq == _round_oracle(x, flips)
                 targets += seq[1:6] == [1, 2, 3, 1, 2]
+                scans.clear()
                 for _ in seq:
                     next(state)
+                assert scans == []
                 x = state.vertex()[:-1]
         assert len(seen) == len(list(dyck_words(n)))
-        assert len(scans) == targets
-        scans.clear()
+        assert (targets > 0) == (flips and n >= 3)
 
 
 @settings(derandomize=True, deadline=None)
