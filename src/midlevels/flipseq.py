@@ -14,12 +14,12 @@ exchange is the splice the full generator uses to join cycles.
 
 One scan, `_run_flips`, builds the flips of a balanced run, reading left
 to right with '1' opening a nested run and every other byte closing one.
-The generator's buffer is always binary, so its own scans need no closer
-test; `flip_sequence` and `pair_target_sequence` take words from anyone
-and check the run they scanned afterwards.  The generator also runs the
-scan over the suffix v of a round's first vertex 1u0v, which gives its
-backward pass, but only at a resume: every later round is the one
-before shifted, whose every matched pair but the first moves one
+The generator scans only words cut from a start it has validated, so
+its scans need no closer test; `flip_sequence` and `pair_target_sequence`
+take words from anyone and check the run they scanned afterwards.  The
+generator also scans the suffix v of a round's first vertex 1u0v, which
+gives its backward pass, but only at a resume: every later round is the
+one before shifted, whose every matched pair but the first moves one
 position left, and a pair round is a patch of that table (`hamcycle`).
 """
 

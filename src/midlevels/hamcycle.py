@@ -19,9 +19,9 @@ and the virtual pair becomes the new word's pair (b-1, 2n).  Only the
 entries of 2n+1 and of the new first close are set anew.  A pair word's
 round is its table with the entries of at most five positions patched,
 and a pair target's round is shifted as the table of its source, whose
-basic round ends on the same vertex.  So every round start is a shift,
-but for the first one after a resume past a forward half, and the walk
-scans the word only at a resume.  Round starts are the only points
+basic round ends on the same vertex.  A resume installs a whole round
+table too, so every round start is a shift and only the constructor
+scans a word.  Round starts are the only points
 where any O(n) bookkeeping happens, so the amortized cost per visit is
 constant and the working set stays O(n).  The package's own drivers
 take the walk a round at a time, as flip lists to apply to the buffer;
@@ -35,10 +35,10 @@ only where the patterns leave it open.
 
 `GeneratorState` can start at any vertex.  One decomposition gives the
 first vertex of the basic path through the start and the start's step
-index on it: on top bit 0 the round is built from that vertex, and on
-top bit 1, where the path is the mirrored backward half, from the
-decomposition's split of it.  Every start yields the same cyclic
-listing, merely rotated.
+index on it.  On top bit 0 the round is built from that vertex; on top
+bit 1, where the path is the mirrored backward half of a round from
+1u0v, the whole basic table of 1u0v is built from the split of that
+vertex.  Every start yields the same cyclic listing, merely rotated.
 """
 
 from __future__ import annotations
@@ -207,14 +207,13 @@ def forward_sequence(x: str, flips: bool = True) -> list[int]:
     return flip_sequence(x)
 
 
-def _round(seq: list[int], word: bytearray) -> list[int]:
-    """seq, a round's forward flips, with [2n+1, b] + P(v) + [b-1, 2n+1]
-    appended, read off word: the round's first vertex after a sentinel
-    byte, then the top bit 0.  Only the bytes after b are read.
-
-    The forward half ends on u01v, b the position of its 1: seq's first
-    flip.  A start past the forward half passes just [b].
-    """
+def _round(y: str) -> list[int]:
+    """The basic round table of the Dyck word y = 1u0v: the scan of its
+    first run, then of v inside a virtual run opened at b that the top
+    bit 0 closes.  y is made of pieces of a word that _split_path has
+    validated, so it is not checked again."""
+    word = f"0{y}0".encode()
+    seq = _run_flips(word[2:], 1, [0, 1], [0])
     b = seq[0]
     slots = [len(seq)]
     seq += (0, b)
@@ -254,11 +253,11 @@ class GeneratorState:
     the state and overwritten in place; use vertex() for a string
     snapshot.  i counts visits, the start vertex included.
 
-    The cursor is the current round's flip list and the index of the
-    next flip in it.  The list ends with the flip of position 2n+1 down
-    to 0, which lands on the next round's first vertex, where the next
-    list is built by shifting this one, except after a resume past a
-    forward half: a list that _passes yields must not be mutated.
+    The cursor is the current round's flip list, always a whole table
+    of 4n+2 entries, and the index of the next flip in it.  The list
+    ends with the flip of position 2n+1 down to 0, which lands on the
+    next round's first vertex, where the next list is built by shifting
+    this one: a list that _passes yields must not be mutated.
 
     A start vertex is split once, by one path decomposition, into the
     first vertex of the path it lies on and its step index there; the
@@ -294,10 +293,7 @@ class GeneratorState:
             y = p
             if p[1] == "0" and t < 6:
                 t = 6 - t
-        # z agrees with y after the forward half's b, which is all _round
-        # reads, but on a target's walk it may differ at b and inside w
-        word = self._buf if p is None else bytearray(f"0{y}0", "ascii")
-        self._seq = _round(flip_sequence(y), word)
+        self._seq = _round(y)
         if p is not None:
             _pair_round(self._seq, y[1] == "1")
         self._k = t
@@ -346,35 +342,31 @@ class GeneratorState:
         buf = self._buf
         prev = self._seq
         self._k = 0
-        if len(prev) == 2 * len(buf) - 2:
-            self._seq = seq = prev[:]
-            seq[:-2:2] = [e - 1 for e in prev[2::2]]
-            if prev[3] != 2:
-                # a pair target's round: shift its source's table, which
-                # has entry 3 at 2 and the positions 2 and 3 in order
-                seq[0] = seq[3] = 2
-                seq[5] = 3
-            b = seq[0]
-            seq[2 * b - 2], seq[-2] = len(buf) - 1, b - 1
-        else:  # the rest of a round resumed past its forward half
-            self._seq = seq = _round(flip_sequence(buf[1:-1]), buf)
+        self._seq = seq = prev[:]
+        seq[:-2:2] = [e - 1 for e in prev[2::2]]
+        if prev[3] != 2:
+            # a pair target's round: shift its source's table, which
+            # has entry 3 at 2 and the positions 2 and 3 in order
+            seq[0] = seq[3] = 2
+            seq[5] = 3
+        b = seq[0]
+        seq[2 * b - 2], seq[-2] = len(buf) - 1, b - 1
         # x starts 110 or 101, as pair words do, only if bits 2 and 3 differ
         if self.flips and buf[2] != buf[3] and _partner(buf[1:-1].decode()):
             _pair_round(seq, buf[2] == 49)
 
     def _start_backward(self, z: str) -> None:
-        # z + '1' lies in the backward half of the round from 1u0v, which
-        # walks the basic path from g = 1 rc(v) 0 rc(u) mirrored and
-        # backwards, so rc(z) lies on that path.  g's first run r reverse
-        # complemented is 1v0: the half's suffix and the top bit 0.
-        # The forward half is behind the start, so _round gets only its
-        # first flip b, and a word that ends 1v0 at b, padded with 0s.
-        r, _, t = _split_path(rev_complement(z))
-        word = bytearray(rev_complement(r).rjust(len(z) + 2, "0"), "ascii")
-        seq = _round([len(z) + 2 - len(r)], word)
-        self._seq = seq
+        # z + '1' lies in the backward half of a round that ends on u1v0,
+        # the basic path from g = 1 rc(v) 0 rc(u) mirrored and walked
+        # backwards, so rc(z) lies on it.  That half depends only on
+        # u01v, so it is the half of x = 1u0v's basic table, which the
+        # shift also reads right: a pair source's round ends where its
+        # target's basic round does, and a target's is shifted as its
+        # source's basic table.  The forward half is never walked.
+        r, w, t = _split_path(rev_complement(z))
+        self._seq = _round("1" + rev_complement(w) + "0" + rev_complement(r)[1:-1])
         # steps t of g's path are the last t steps of the backward half
-        self._k = len(seq) - 1 - t
+        self._k = len(self._seq) - 1 - t
 
     @property
     def buffer(self) -> bytearray:

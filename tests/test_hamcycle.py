@@ -213,11 +213,36 @@ def test_full_listing_is_a_single_cycle(n):
     assert hamming(listing[-1], listing[0]) == 1
 
 
-def test_every_start_vertex_resumes_the_same_cycle():
-    n = 3
-    canonical = list(generate(n))
-    for start in canonical:
-        assert is_rotation(list(generate(n, start)), canonical)
+def _spy_on_scans(monkeypatch) -> list[int]:
+    # one entry per call of the builders that scan a word
+    scans: list[int] = []
+    for name in ("flip_sequence", "_round"):
+        scan = getattr(hamcycle, name)
+        monkeypatch.setattr(
+            hamcycle, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
+        )
+    return scans
+
+
+def test_every_start_vertex_resumes_the_same_cycle(monkeypatch):
+    # a resume at any vertex installs a whole round table, so the next
+    # two rounds follow the listing with every round start a shift of
+    # the table before: nothing scans a word once the constructor is done
+    scans = _spy_on_scans(monkeypatch)
+    for n in range(1, 7):
+        canonical = list(generate(n))
+        size = len(canonical)
+        span = 2 * (4 * n + 2)
+        for i, start in enumerate(canonical):
+            state = GeneratorState(n, start)
+            assert len(state._seq) == 4 * n + 2
+            scans.clear()
+            got = [next(state)[1:].decode() for _ in range(span)]
+            assert scans == []
+            assert len(state._seq) == 4 * n + 2
+            assert got == [canonical[(i + j) % size] for j in range(1, span + 1)]
+            if n == 3:
+                assert is_rotation(list(generate(n, start)), canonical)
 
 
 @pytest.mark.parametrize("n", [10, 37, 200])
@@ -281,24 +306,21 @@ def _round_oracle(x: str, flips: bool) -> list[int]:
     return forward + [len(x) + 1] + backward_pass_by_decomposition(y)
 
 
-def _built_round(state: GeneratorState, x: str) -> list[int]:
-    # the round a round start scans from the live buffer x + '0'; an
-    # empty finished round keeps it from shifting the one before
-    state.buffer[1:] = (x + "0").encode()
-    state._seq = []
-    state._start_forward()
+def _built_round(x: str, flips: bool) -> GeneratorState:
+    # a resume at the round's first vertex x + '0': the constructor
+    # builds the whole round and puts the cursor at its start
+    state = GeneratorState(len(x) // 2, x + "0", flips)
     assert state._k == 0
-    return state._seq
+    return state
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_boundaries_match_the_oracles(n):
-    # a round start builds the whole round from every Dyck word, with
-    # pair rounds and without
+    # a resume at a round's first vertex builds the whole round from
+    # every Dyck word, with pair rounds and without
     for flips in (False, True):
-        state = GeneratorState(n, flips=flips)
         for x in dyck_words(n):
-            got = _built_round(state, x)
+            got = _built_round(x, flips)._seq
             assert len(got) == 4 * n + 2
             assert got == _round_oracle(x, flips)
 
@@ -330,7 +352,7 @@ def round_starts_up_to_500(draw) -> tuple[str, str, bool]:
 def test_round_lists_match_the_oracle(start):
     kind, x, flips = start
     n = len(x) // 2
-    got = _built_round(GeneratorState(n, flips=flips), x)
+    got = _built_round(x, flips)._seq
     assert len(got) == 4 * n + 2
     assert got == _round_oracle(x, flips)
     if kind == "source":
@@ -413,12 +435,7 @@ def test_every_round_of_the_cycle_matches_the_oracle(n, monkeypatch):
     # table after a target round, and patches it for a pair word: walk
     # every cycle, with pair rounds (one cycle) and without, check each
     # round on arrival, and that no round after the first is scanned
-    scans = []
-    for name in ("flip_sequence", "_round"):
-        scan = getattr(hamcycle, name)
-        monkeypatch.setattr(
-            hamcycle, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
-        )
+    scans = _spy_on_scans(monkeypatch)
     for flips in (False, True):
         seen: set[str] = set()
         targets = 0
@@ -443,12 +460,12 @@ def test_every_round_of_the_cycle_matches_the_oracle(n, monkeypatch):
 @settings(derandomize=True, deadline=None)
 @given(round_starts_up_to_500())
 def test_the_round_after_matches_the_oracle(start):
-    # the next round is shifted from a plain or source round, scanned
-    # after a target round, and built by the pair rules for a pair word
+    # the next round is shifted from a plain or source round, from the
+    # source's table after a target round, and patched for a pair word
     _, x, flips = start
-    state = GeneratorState(len(x) // 2, flips=flips)
+    state = _built_round(x, flips)
     buf = state.buffer
-    for p in _built_round(state, x):
+    for p in state._seq:
         buf[p] ^= 1
     state._start_forward()
     assert state._seq == _round_oracle(buf[1:-1].decode(), flips)
