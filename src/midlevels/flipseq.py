@@ -12,15 +12,11 @@ partner y = 101w0v additionally admit modified rules
 paths cover the same vertices but with the endpoints exchanged.  That
 exchange is the splice the full generator uses to join cycles.
 
-One scan, `_run_flips`, builds the flips of a balanced run, reading left
-to right with '1' opening a nested run and every other byte closing one.
-The generator scans only words cut from a start it has validated, so
-its scans need no closer test; `flip_sequence` and `pair_target_sequence`
-take words from anyone and check the run they scanned afterwards.  The
-generator also scans the suffix v of a round's first vertex 1u0v, which
-gives its backward pass, but only at a resume: every later round is the
-one before shifted, whose every matched pair but the first moves one
-position left, and a pair round is a patch of that table (`hamcycle`).
+One scan, `_run`, builds every flip list, the generator's rounds
+included, reading left to right with '1' opening a nested run and every
+other byte closing one; its table puts position p's entry at index 2p-2
+and p itself at 2p-1.  `flip_sequence` and `pair_target_sequence` take
+words from anyone and check the run they scanned afterwards.
 """
 
 from __future__ import annotations
@@ -31,36 +27,32 @@ __all__ = [
     "pair_target_sequence",
 ]
 
-_ONE = ord("1")
 
+def _run(codes: bytes | bytearray, p: int, seq: list[int]) -> int:
+    """Append the flips of the run that opens at position p+1.
 
-def _run_flips(
-    codes: bytes | bytearray, p: int, out: list[int], slots: list[int],
-) -> list[int]:
-    """Finish the flips of the runs open at position p.
-
-    codes holds the bytes after p, read left to right: '1' opens a
-    nested run and any other byte closes one.  out holds the entries so
-    far and slots the indices in out still waiting for a closing
-    position, one per open run; with none, the first byte must open.
-    An opening at p leaves a slot and appends p; a closing at p fills
-    the last slot and, unless that closes the last open run, appends its
-    opener's position less one, then p.  Nothing after that run is read.
-    Raises ValueError on a run that does not close.
+    seq lists positions 1..p already, and codes holds the bytes after p,
+    read left to right: '1' opens a nested run and any other byte closes
+    one.  An opening at p appends a free entry, then p; a closing at p
+    of the run opened at q sets q's entry to p and, unless that closes
+    the run at p+1, appends q - 1, then p.  Returns the position closing
+    that run, which gets no entry; nothing after it is read.  Raises
+    ValueError on a run that does not close.
     """
-    put = out.append
+    put = seq.append
+    opened = []
     for c in codes:
         p += 1
         if c == 49:  # '1'
-            slots.append(len(out))
+            opened.append(p)
             put(0)
             put(p)
         else:
-            i = slots.pop()
-            out[i] = p
-            if not slots:
-                return out
-            put(out[i + 1] - 1)
+            q = opened.pop()
+            seq[2 * q - 2] = p
+            if not opened:
+                return p
+            put(q - 1)
             put(p)
     raise ValueError("no balanced run at this position")
 
@@ -80,11 +72,12 @@ def flip_sequence(x: str | bytes | bytearray) -> list[int]:
     if not x:
         raise ValueError("empty word")
     codes = x.encode() if isinstance(x, str) else x
-    if codes[0] != _ONE:
+    if codes[0] != 49:  # '1'
         raise ValueError("no balanced run at this position")
-    seq = _run_flips(codes, 0, [], [])
+    seq = []
+    b = _run(codes, 0, seq)
     # the scan took any byte other than '1' for a '0'
-    if codes[: seq[0]].strip(b"01"):
+    if codes[:b].strip(b"01"):
         raise ValueError("no balanced run at this position")
     return seq
 
@@ -110,7 +103,9 @@ def pair_target_sequence(y: str) -> list[int]:
     if y[:3] != "101":
         raise ValueError("not in tau image")
     codes = y.encode()
-    seq = _run_flips(codes[3:], 3, [0, 1, 2, 3, 1, 2], [0])
-    if codes[3 : seq[0]].strip(b"01"):
+    seq = [0, 1, 0, 2]
+    b = _run(codes[2:], 2, seq)
+    if codes[3:b].strip(b"01"):
         raise ValueError("no balanced run at this position")
+    seq[:6] = b, 1, 2, 3, 1, 2
     return seq

@@ -48,12 +48,7 @@ from itertools import accumulate
 from math import comb
 
 from .bitwords import rev_complement
-from .flipseq import (
-    _run_flips,
-    flip_sequence,
-    pair_source_sequence,
-    pair_target_sequence,
-)
+from .flipseq import _run, flip_sequence, pair_source_sequence, pair_target_sequence
 from .trees import flip_tree_by_pattern, is_flip_tree, pair_image, pair_preimage
 
 __all__ = [
@@ -209,16 +204,14 @@ def forward_sequence(x: str, flips: bool = True) -> list[int]:
 
 def _round(y: str) -> list[int]:
     """The basic round table of the Dyck word y = 1u0v: the scan of its
-    first run, then of v inside a virtual run opened at b that the top
-    bit 0 closes.  y is made of pieces of a word that _split_path has
-    validated, so it is not checked again."""
-    word = f"0{y}0".encode()
-    seq = _run_flips(word[2:], 1, [0, 1], [0])
-    b = seq[0]
-    slots = [len(seq)]
-    seq += (0, b)
-    _run_flips(word[b + 1 :], b, seq, slots)
-    seq += (b - 1, len(word) - 1)
+    first run, then of v inside the virtual run (b, 2n+1).  y is made of
+    pieces of a word that _split_path has validated, so it is not
+    checked again."""
+    word = y.encode()
+    seq = []
+    b = _run(word, 0, seq)
+    top = _run(b"1" + word[b:] + b"0", b - 1, seq)
+    seq += (b - 1, top)
     return seq
 
 

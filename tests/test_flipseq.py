@@ -42,7 +42,7 @@ def test_flip_sequence_rejects_empty():
         flip_sequence("")
 
 
-@pytest.mark.parametrize("bad", ["0", "01", "110", "1a0", b"1x"])
+@pytest.mark.parametrize("bad", ["0", "01", "110", "1a0", b"1x", bytearray(b"1a0")])
 def test_flip_sequence_rejects_a_first_run_that_does_not_close(bad):
     with pytest.raises(ValueError):
         flip_sequence(bad)
@@ -119,7 +119,7 @@ def test_pair_target_sequence_rejects_wrong_prefix():
         pair_target_sequence("110100")
 
 
-@pytest.mark.parametrize("bad", ["101a00", "1011a0", "1011"])
+@pytest.mark.parametrize("bad", ["101a00", "1011a0", "1011", "101"])
 def test_pair_target_sequence_rejects_a_run_that_is_not_binary_or_open(bad):
     # the scan takes any byte other than '1' for a '0', so the run it
     # closed is checked afterwards

@@ -214,9 +214,10 @@ def test_full_listing_is_a_single_cycle(n):
 
 
 def _spy_on_scans(monkeypatch) -> list[int]:
-    # one entry per call of the builders that scan a word
+    # one entry per call of the builders that scan a word and of _run,
+    # the scan they share
     scans: list[int] = []
-    for name in ("flip_sequence", "_round"):
+    for name in ("flip_sequence", "_round", "_run"):
         scan = getattr(hamcycle, name)
         monkeypatch.setattr(
             hamcycle, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
