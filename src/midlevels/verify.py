@@ -1,10 +1,11 @@
 """Structural checks over full desk-scale listings.
 
-Everything here enumerates whole vertex sets or whole orbits, so it is
-exponential in n by design.  Two fixed caps bound the sweeps: whole
-vertex sets up to n = FULL_GRAPH_CAP, plane-tree orbit graphs up to
-n = TREE_GRAPH_CAP; larger n raises ValueError.  Results come back as
-CheckResult rows that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
+Everything here enumerates whole vertex sets or Dyck word families, so
+it is exponential in n by design.  Two fixed caps bound the sweeps:
+vertex sets up to n = FULL_GRAPH_CAP, the flip graph's pair sources up
+to n = TREE_GRAPH_CAP (plane trees are counted, never listed); larger n
+raises ValueError.  Results come back as CheckResult rows that format
+as "CHECK <name> n=<n> PASS|FAIL <detail>".
 
 Walks are replayed as flip lists on the word's integer value: the
 listing as a stream, each path and six-cycle as its edges, (lower word,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import groupby
+from math import comb, gcd
 from typing import NamedTuple
 
 from .bitwords import dyck_words
@@ -31,20 +33,17 @@ __all__ = [
     "check_listing",
     "two_factor",
     "check_two_factor",
-    "plane_classes",
-    "FlipGraph",
     "flip_graph",
-    "is_spanning_tree",
+    "plane_tree_count",
     "tree_signature",
-    "check_edge_monotonicity",
     "check_flip_graph",
     "check_six_cycles",
     "run_checks",
     "run_suite",
 ]
 
-# the exponential sweeps: full vertex sets up to n=9, plane-tree orbit
-# graphs up to n=12
+# the exponential sweeps: full vertex sets up to n=9, the flip graph's
+# pair sources up to n=12
 FULL_GRAPH_CAP = 9
 TREE_GRAPH_CAP = 12
 
@@ -197,53 +196,42 @@ def check_two_factor(n: int, lengths: list[int], n_classes: int) -> list[CheckRe
     ]
 
 
-def plane_classes(n: int) -> dict[str, str]:
-    """Map every Dyck word to its orbit's canonical encoding."""
-    return {x: canonical_root(x) for x in dyck_words(n)}
+def flip_graph(n: int) -> list[tuple[str, str]]:
+    """The flip graph's arcs, sorted: one per flip tree x, from x's
+    plane tree to the plane tree of its pair image, each tree as its
+    canonical root.
 
-
-class FlipGraph(NamedTuple):
-    """Directed graph on plane-tree orbits: one arc per flip tree,
-    from its own orbit to its partner's orbit."""
-
-    n: int
-    nodes: frozenset[str]
-    edges: tuple[tuple[str, str], ...]
-
-
-def flip_graph(n: int) -> FlipGraph:
+    Flip trees are pair sources 110w0v, and the Dyck words with prefix
+    110 are "110" + d[1:] for the C_{n-1} Dyck words d with n - 1 ones,
+    so only those are tested.
+    """
     if not 1 <= n <= TREE_GRAPH_CAP:
         raise ValueError("desk-scale only")
-    classes = plane_classes(n)
-    edges = sorted(
-        (classes[x], classes[pair_image(x)])
-        for x in classes
-        if x[:3] == "110" and is_flip_tree(x)
+    if n == 1:
+        return []  # "110" + "" is no word
+    return sorted(
+        (canonical_root(x), canonical_root(pair_image(x)))
+        for x in ("110" + d[1:] for d in dyck_words(n - 1))
+        if is_flip_tree(x)
     )
-    return FlipGraph(n, frozenset(classes.values()), tuple(edges))
 
 
-def is_spanning_tree(g: FlipGraph) -> bool:
-    """Whether g's edges form a spanning tree of its nodes (ignoring
-    direction)."""
-    nodes = list(g.nodes)
-    if len(g.edges) != len(nodes) - 1:
-        return False
-    if any(a == b for a, b in g.edges):
-        return False
-    adj: dict[str, list[str]] = {v: [] for v in nodes}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {nodes[0]}
-    todo = [nodes[0]]
-    while todo:
-        v = todo.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return len(seen) == len(nodes)
+def plane_tree_count(n: int) -> int:
+    """The number of plane trees with n >= 1 edges, by Walkup's closed
+    formula ("The number of plane trees", Mathematika 19, 1972; OEIS
+    A002995)."""
+
+    def cat(k: int) -> int:
+        return comb(2 * k, k) // (k + 1)
+
+    def totient(m: int) -> int:
+        return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    total = sum(totient(n // d) * comb(2 * d, d) for d in divisors) - n * cat(n)
+    if n % 2:
+        total += n * cat((n - 1) // 2)
+    return total // (2 * n)
 
 
 def tree_signature(x: str) -> tuple[int, int, int]:
@@ -270,30 +258,42 @@ def tree_signature(x: str) -> tuple[int, int, int]:
     return len(leaves), len(leaves) - terminal, max(deg)
 
 
-def check_edge_monotonicity(g: FlipGraph) -> CheckResult:
-    """Signature strictly increases along every arc of the flip graph."""
-    bad = [
-        (a, b)
-        for a, b in g.edges
-        if not tree_signature(a) < tree_signature(b)
-    ]
-    detail = f"{len(g.edges)} edges"
+def check_flip_graph(n: int, arcs: list[tuple[str, str]]) -> list[CheckResult]:
+    """Rows for the flip graph's arcs, given as canonical roots of plane
+    trees with n edges: they form a spanning tree of the plane trees, no
+    tree has two outgoing arcs, and signatures increase along every arc.
+
+    The plane trees are counted, not listed: count - 1 arcs that close
+    no cycle touch count plane trees, so they join every plane tree into
+    one tree.  A union-find over the arcs' ends finds the cycles.
+    """
+    count = plane_tree_count(n)
+    up: dict[str, str] = {}
+
+    def find(v: str) -> str:
+        while v in up:
+            # path halving: point v at its grandparent and step there
+            up[v] = v = up.get(up[v], up[v])
+        return v
+
+    is_tree = len(arcs) == count - 1
+    for a, b in arcs:
+        a, b = find(a), find(b)
+        if a == b:
+            is_tree = False
+            break
+        up[a] = b
+    tree = f"{count} nodes, {len(arcs)} edges"
+    one_out = len({a for a, _ in arcs}) == len(arcs)
+    bad = [(a, b) for a, b in arcs if not tree_signature(a) < tree_signature(b)]
+    monotone = f"{len(arcs)} edges"
     if bad:
         a, b = bad[0]
-        detail = f"{len(bad)} violations, first {a} -> {b}"
-    return CheckResult("flip-graph-monotone", g.n, not bad, detail)
-
-
-def check_flip_graph(g: FlipGraph) -> list[CheckResult]:
-    """Rows for the flip graph: its arcs form a spanning tree of the
-    plane-tree classes, no class has two outgoing arcs, and signatures
-    increase along every arc."""
-    detail = f"{len(g.nodes)} nodes, {len(g.edges)} edges"
-    one_out = len({a for a, _ in g.edges}) == len(g.edges)
+        monotone = f"{len(bad)} violations, first {a} -> {b}"
     return [
-        CheckResult("flip-graph-tree", g.n, is_spanning_tree(g), detail),
-        CheckResult("flip-graph-outdegree", g.n, one_out),
-        check_edge_monotonicity(g),
+        CheckResult("flip-graph-tree", n, is_tree, tree),
+        CheckResult("flip-graph-outdegree", n, one_out),
+        CheckResult("flip-graph-monotone", n, not bad, monotone),
     ]
 
 
@@ -386,9 +386,9 @@ def run_checks(n: int) -> list[CheckResult]:
     every listing row passes at full length and the walk's next step
     lands on the start again, its N distinct vertices are one cycle of
     the stepping rule, N the vertex count.  Otherwise the flips-on
-    cycles are walked again to report their lengths.  The plane-tree
-    classes are enumerated once, inside flip_graph, and its node count
-    is the number of flips-off cycles expected.
+    cycles are walked again to report their lengths.  The plane trees
+    are counted by plane_tree_count, the number of flips-off cycles
+    expected; flip_graph enumerates only the pair sources.
     """
     start = default_start(n)
     state = GeneratorState(n)
@@ -398,13 +398,12 @@ def run_checks(n: int) -> list[CheckResult]:
         and all(r.passed for r in results)
         and state.vertex() == start
     )
-    g = flip_graph(n)
-    results += check_two_factor(n, two_factor(n, False), len(g.nodes))
+    results += check_two_factor(n, two_factor(n, False), plane_tree_count(n))
     lengths = [total_vertices(n)] if closed else two_factor(n, True)
     ok = lengths == [total_vertices(n)]
     detail = f"{len(lengths)} cycle(s), lengths {lengths}"
     results.append(CheckResult("single-cycle", n, ok, detail))
-    results += check_flip_graph(g)
+    results += check_flip_graph(n, flip_graph(n))
     results += check_six_cycles(n)
     return results
 

@@ -10,25 +10,24 @@ from hypothesis import strategies as st
 
 import midlevels
 from midlevels import verify
+from midlevels.bitwords import dyck_words
 from midlevels.cli import main
 from midlevels.flipseq import flip_sequence
 from midlevels.hamcycle import GeneratorState, default_start, total_vertices
+from midlevels.trees import canonical_root, is_flip_tree, pair_image
 from midlevels.verify import (
     FULL_GRAPH_CAP,
     _cycle_steps,
     _interleaved,
     _six_cycle,
     CheckResult,
-    FlipGraph,
-    check_edge_monotonicity,
     check_flip_graph,
     check_listing,
     check_six_cycles,
     check_two_factor,
     flip_graph,
     format_check,
-    is_spanning_tree,
-    plane_classes,
+    plane_tree_count,
     run_checks,
     run_suite,
     tree_signature,
@@ -37,7 +36,11 @@ from midlevels.verify import (
 
 from helpers import apply_flips, rotation_orbit
 
-PLANE_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 14}
+# OEIS A002995, plane trees by number of edges
+PLANE_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 14, 7: 34, 8: 95, 9: 280, 10: 854,
+    11: 2694, 12: 8714,
+}
 
 
 def test_format_check():
@@ -208,24 +211,35 @@ def test_two_factor_respects_the_cap():
         two_factor(0, False)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_plane_classes_counts(n):
-    classes = plane_classes(n)
-    assert len(classes) == len(set(classes))  # keys are all Dyck words
-    assert len(set(classes.values())) == PLANE_TREE_COUNTS[n]
+    assert plane_tree_count(n) == len({canonical_root(x) for x in dyck_words(n)})
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+def test_plane_tree_count_matches_oeis():
+    assert {n: plane_tree_count(n) for n in PLANE_TREE_COUNTS} == PLANE_TREE_COUNTS
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_flip_graph_matches_the_full_enumeration(n):
+    oracle = sorted(
+        (canonical_root(x), canonical_root(pair_image(x)))
+        for x in dyck_words(n)
+        if x[:3] == "110" and is_flip_tree(x)
+    )
+    assert flip_graph(n) == oracle
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_flip_graph_is_a_spanning_tree(n):
-    g = flip_graph(n)
-    assert len(g.edges) == len(g.nodes) - 1
-    assert all(r.passed for r in check_flip_graph(g))
+    arcs = flip_graph(n)
+    assert len(arcs) == PLANE_TREE_COUNTS[n] - 1
+    assert all(r.passed for r in check_flip_graph(n, arcs))
 
 
 def test_flip_graph_rows_flag_two_arcs_out_of_one_class():
-    p, q, r = sorted(flip_graph(4).nodes)
-    star = FlipGraph(4, frozenset((p, q, r)), ((p, q), (p, r)))
-    rows = _by_name(check_flip_graph(star))
+    p, q, r = sorted({canonical_root(x) for x in dyck_words(4)})
+    rows = _by_name(check_flip_graph(4, [(p, q), (p, r)]))
     assert rows["flip-graph-tree"].passed
     assert not rows["flip-graph-outdegree"].passed
 
@@ -235,22 +249,18 @@ def test_flip_graph_respects_the_cap():
         flip_graph(13)
 
 
-def test_is_spanning_tree_rejects_malformed_graphs():
-    nodes = frozenset("abcd")
-    # wrong edge count
-    assert not is_spanning_tree(FlipGraph(0, nodes, (("a", "b"),)))
-    # self loop
-    assert not is_spanning_tree(
-        FlipGraph(0, nodes, (("a", "a"), ("b", "c"), ("c", "d")))
-    )
-    # right count, disconnected
-    assert not is_spanning_tree(
-        FlipGraph(0, nodes, (("a", "b"), ("a", "b"), ("c", "d")))
-    )
-    # an actual tree
-    assert is_spanning_tree(
-        FlipGraph(0, nodes, (("a", "b"), ("b", "c"), ("b", "d")))
-    )
+def test_flip_graph_tree_row_rejects_malformed_arcs():
+    arcs = flip_graph(5)
+    a = arcs[0][0]
+
+    def tree_row(arcs):
+        return _by_name(check_flip_graph(5, arcs))["flip-graph-tree"].passed
+
+    assert tree_row(arcs)
+    assert not tree_row(arcs[1:])  # an arc dropped
+    assert not tree_row([(a, a)] + arcs[1:])  # a self-loop
+    # right count, but the copy closes a cycle and misses a tree
+    assert not tree_row([arcs[1]] + arcs[1:])
 
 
 def test_tree_signature_spot_values():
@@ -267,10 +277,10 @@ def test_signature_is_rooting_independent():
 
 
 def test_edge_monotonicity_detects_a_reversed_arc():
-    g = flip_graph(3)
-    assert check_edge_monotonicity(g).passed
-    flipped = FlipGraph(g.n, g.nodes, tuple((b, a) for a, b in g.edges))
-    assert not check_edge_monotonicity(flipped).passed
+    arcs = flip_graph(3)
+    assert _by_name(check_flip_graph(3, arcs))["flip-graph-monotone"].passed
+    flipped = [(b, a) for a, b in arcs]
+    assert not _by_name(check_flip_graph(3, flipped))["flip-graph-monotone"].passed
 
 
 @pytest.mark.parametrize("n", range(1, 6))
