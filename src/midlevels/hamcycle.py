@@ -33,9 +33,10 @@ source is read off byte patterns of the word
 (`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a tree record
 only where the patterns leave it open.
 
-`GeneratorState` can start at any vertex.  One decomposition gives the
-first vertex of the basic path through the start and the start's step
-index on it.  On top bit 0 the round is built from that vertex; on top
+`GeneratorState` can start at any vertex.  One parse of its lattice
+path, a descent to the lowest level and an ascent back, gives the first
+vertex of the basic path through the start and the start's step index
+on it.  On top bit 0 the round is built from that vertex; on top
 bit 1, where the path is the mirrored backward half of a round from
 1u0v, the whole basic table of 1u0v is built from the split of that
 vertex.  Every start yields the same cyclic listing, merely rotated.
@@ -79,91 +80,60 @@ def path_first_vertex(z: str) -> tuple[str, int]:
 
     z is a word of length 2n and weight n or n+1.  The result is (y, t):
     y is the Dyck word whose walk under flip_sequence visits z, and z is
-    the word after the first t flips of that walk.  Both are computed
-    directly from z's lattice path, splitting on the weight and on
-    whether the minimum level is touched once or more than once.
+    the word after the first t flips of that walk.  Both are read off
+    z's lattice path in one descent and one ascent (_split_path).
     """
-    run, v, t = _split_path(z)
-    return run + v, t
+    y, _, t = _split_path(z)
+    return y, t
 
 
-def _split_path(z: str) -> tuple[str, str, int]:
-    """path_first_vertex(z) with its first vertex y = 1u0v split after
-    the first run: (1u0, v, t)."""
+def _split_path(z: str) -> tuple[str, int, int]:
+    """path_first_vertex(z) with the close b of y's first run: (y, b, t).
+
+    After 2p steps from y = 1u0v the walk stands on
+
+        D0 0 D1 0 ... 0 Dk 0 Ek 1 ... 1 E0 1 v
+
+    with every Di and Ei a Dyck word.  Its zeros are the first arrivals
+    at the levels -1 down to the minimum m, the last of them at p; its
+    ones are the last departures from the levels m up to -1, the last
+    of them at b.  y is z with those bits flipped, the bit at p dropped
+    and a 1 put in front, and t = 2p.  A word of weight n+1 lies one
+    step before such a word: the one with z's last departure from m, at
+    p, flipped down, which lowers the rest of the walk by 2.  So its
+    ones are z's last departures from m+1 up to 1, the departure from m
+    is the bit dropped, and t = 2p - 1.  A Dyck word z is y itself, with
+    t = 0.
+    """
     n2 = len(z)
     n = n2 // 2
     wt = z.count("1")
     if n2 == 0 or n2 % 2 or wt + z.count("0") != n2 or wt not in (n, n + 1):
         raise ValueError("not a middle-levels word")
-
-    heights = list(accumulate(map(_STEP.__getitem__, z.encode()), initial=0))
-    # heights read from the right: rev[r] is the height at point n2 - r
-    rev = heights[::-1]
+    odd = wt - n
+    codes = z.encode()
+    heights = list(accumulate(map(_STEP.__getitem__, codes), initial=0))
     m = min(heights)
-    low_first = heights.index(m)
-    low_last = n2 - rev.index(m)
-    unique = low_first == low_last
-
-    us: list[str] = []
-    vs: list[str] = []
-
-    def descend(down_to: int) -> int:
-        # one piece per new level reached on the way down to down_to;
-        # the separating zeros are the first arrivals at each level
-        prev = 0
-        for lev in range(-1, down_to - 1, -1):
-            pt = heights.index(lev, prev)
-            us.append(z[prev : pt - 1])
-            prev = pt
-        return prev
-
-    def ascend(levels: range, start_point: int) -> int:
-        # the separating ones are the last arrivals at each level; the
-        # walk ends above them all, so a higher level is left later and
-        # is found first from the right
-        pts: list[int] = []
-        r = 0
-        for lev in reversed(levels):
-            r = rev.index(lev, r)
-            pts.append(n2 - r)
-        prev = start_point
-        for pt in reversed(pts):
-            vs.append(z[prev:pt])
-            prev = pt + 1
-        return prev
-
-    if wt == n and unique:
-        start = descend(m + 1)
-        w = z[start : low_first - 1]
-        prev = ascend(range(m + 1, 0), low_first + 1)
-    elif wt == n:  # lowest level touched at least twice
-        descend(m)
-        t2 = heights.index(m, low_first + 1)
-        w = z[low_first + 1 : t2 - 1]
-        prev = ascend(range(m, 0), t2)
-    elif unique:  # weight n + 1
-        t = descend(m)
-        a = n2 - rev.index(m + 1)
-        w = z[t + 1 : a]
-        prev = ascend(range(m + 2, 2), a + 1)
-    else:  # weight n + 1, lowest level touched at least twice
-        descend(m)
-        pen = n2 - rev.index(m, n2 - low_last + 1)
-        us.append(z[low_first:pen])
-        w = z[pen + 1 : low_last - 1]
-        prev = ascend(range(m + 1, 2), low_last + 1)
-    v = z[prev:]
-
-    # the walk flips twice per position of y's first run, the opening 1
-    # by [b, 1]: z lies past each piece in us and the 1 before it, half
-    # a pair further in weight n + 1, and past 1w in two of the cases
-    t = 2 * (sum(map(len, us)) + len(us)) + (wt == n + 1)
-    if (wt == n) == unique:
-        t += 2 * len(w) + 2
-
-    # a 1 before each piece of us and before w, a 0 before each piece of
-    # vs and after the last
-    return "1".join(["", *us, w]) + "0".join(["", *vs, ""]), v, t
+    if m == 0 and not odd:
+        return z, heights.index(0, 1), 0
+    bits = bytearray(codes)
+    p = 0
+    for lev in range(-1, m - 1, -1):
+        p = heights.index(lev, p)
+        bits[p - 1] = 49  # '1'
+    # heights read from the right: rev[r] is the height at point n2 - r.
+    # The walk ends above the ones, so a higher level is left later and
+    # is found first from the right.
+    rev = heights[::-1]
+    r = rev.index(2 * odd - 1)
+    b = n2 + 1 - r
+    for lev in range(2 * odd - 1, m - 1, -1):
+        r = rev.index(lev, r)
+        bits[n2 - r] = 48  # '0'
+    if odd:
+        p = n2 + 1 - r
+    del bits[p - 1]
+    return "1" + bits.decode(), b, 2 * p - odd
 
 
 def _flip_tree(x: str) -> bool:
@@ -252,9 +222,9 @@ class GeneratorState:
     next round's first vertex, where the next list is built by shifting
     this one: a list that _passes yields must not be mutated.
 
-    A start vertex is split once, by one path decomposition, into the
-    first vertex of the path it lies on and its step index there; the
-    round is built from the one and the cursor set at the other.
+    A start vertex is split once, by one parse of its lattice path, into
+    the first vertex of the path it lies on and its step index there;
+    the round is built from the one and the cursor set at the other.
     """
 
     __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_last")
@@ -356,8 +326,9 @@ class GeneratorState:
         # shift also reads right: a pair source's round ends where its
         # target's basic round does, and a target's is shifted as its
         # source's basic table.  The forward half is never walked.
-        r, w, t = _split_path(rev_complement(z))
-        self._seq = _round("1" + rev_complement(w) + "0" + rev_complement(r)[1:-1])
+        g, b, t = _split_path(rev_complement(z))
+        u, v = rev_complement(g[b:]), rev_complement(g[1 : b - 1])
+        self._seq = _round(f"1{u}0{v}")
         # steps t of g's path are the last t steps of the backward half
         self._k = len(self._seq) - 1 - t
 

@@ -49,20 +49,35 @@ def test_default_start():
     assert default_start(3) == "1110000"
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_path_first_vertex_covers_every_walk(n):
+def _walk_names_its_start(x: str) -> set[str]:
     # each walk vertex must name the walk's own first word and its step
-    seen: set[str] = set()
-    for x in dyck_words(n):
-        cur = list(x)
-        assert path_first_vertex(x) == (x, 0)
-        for t, p in enumerate(flip_sequence(x), start=1):
-            cur[p - 1] = "0" if cur[p - 1] == "1" else "1"
-            z = "".join(cur)
-            assert path_first_vertex(z) == (x, t)
-            seen.add(z)
-        seen.add(x)
+    cur = list(x)
+    seen = {x}
+    assert path_first_vertex(x) == (x, 0)
+    for t, p in enumerate(flip_sequence(x), start=1):
+        cur[p - 1] = "0" if cur[p - 1] == "1" else "1"
+        z = "".join(cur)
+        assert path_first_vertex(z) == (x, t)
+        seen.add(z)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_path_first_vertex_covers_every_walk(n):
+    seen = set().union(*map(_walk_names_its_start, dyck_words(n)))
     assert seen == set(middle_words(n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_path_first_vertex_covers_long_walks(seed):
+    # whole walks from seeded n = 500 Dyck words whose first run holds at
+    # least 400 of the 500 pairs, so each walk is 1600 steps or more
+    rng = random.Random(seed)
+    a = rng.randrange(100)
+    u, v = ("".join(rng.sample("10" * k, 2 * k)) for k in (499 - a, a))
+    x = "1" + _rotated_to_dyck(u) + "0" + _rotated_to_dyck(v)
+    assert is_dyck_word(x) and len(x) == 1000
+    _walk_names_its_start(x)
 
 
 @st.composite
@@ -75,15 +90,18 @@ def middle_words_up_to_500(draw, top: bool = False) -> str:
     return "".join(draw(st.permutations("1" * ones + "0" * (size - ones))))
 
 
-def _dyck(draw, k: int) -> str:
+def _rotated_to_dyck(w: str) -> str:
     # a balanced word rotated to start at its first lowest point
-    w = "".join(draw(st.permutations("1" * k + "0" * k)))
     h = low = at = 0
     for i, c in enumerate(w, 1):
         h += 1 if c == "1" else -1
         if h < low:
             low, at = h, i
     return w[at:] + w[:at]
+
+
+def _dyck(draw, k: int) -> str:
+    return _rotated_to_dyck("".join(draw(st.permutations("1" * k + "0" * k))))
 
 
 @st.composite
