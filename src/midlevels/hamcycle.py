@@ -137,10 +137,11 @@ def _split_path(z: str) -> tuple[str, int, int]:
 
 
 def _flip_tree(x: str) -> bool:
-    """is_flip_tree(x) for a pair source the generator built: byte
-    patterns first, the tree only where they leave it open.  The word
-    needs no validation, and the check that is_flip_tree makes costs
-    nothing extra: it is part of the one pass that builds the tree."""
+    """is_flip_tree(x) for a pair source the walk or `verify.flip_graph`
+    built: byte patterns first, the tree only where they leave it open.
+    The word needs no validation, and the check that is_flip_tree makes
+    costs nothing extra: it is part of the one pass that builds the
+    tree."""
     hit = flip_tree_by_pattern(x)
     return is_flip_tree(x) if hit is None else hit
 

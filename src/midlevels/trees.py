@@ -19,8 +19,9 @@ per orbit is what merges the short cycles into one.  `flip_tree_by_pattern`
 answers the same question for most pair sources from byte patterns in
 the word alone, with no tree: a factor 1100 is a leaf whose neighbour
 has degree two, a prefix 1(10)^k 0 says vertex 1's children are all
-leaves.  The generator asks it first and builds a tree only for the
-words it leaves open.
+leaves.  `is_flip_tree` takes its broom-form rejections from it, so
+each pattern is stated once.  The generator and the flip graph ask it
+first and build a tree only for the words it leaves open.
 
 Reading x walks the tree's Euler tour: position i of x (0-based) is one
 step along a directed edge (u, w), and the i-th rotation of x is the
@@ -137,18 +138,6 @@ def _degrees(parent: list[int]) -> list[int]:
     return deg
 
 
-def _star_thin(parent: list[int], deg: list[int]) -> tuple[bool, bool]:
-    """(is a star, has a thin leaf): a star has at most one non-leaf
-    vertex; a thin leaf is a leaf whose neighbour has degree two.  A
-    non-root leaf's neighbour is its parent, a leaf root's is vertex 1;
-    the root's own entry names itself, of degree 1 when it is a leaf,
-    and adds nothing."""
-    thin = (deg[0] == 1 and deg[1] == 2) or 2 in [
-        deg[p] for d, p in zip(deg, parent) if d == 1
-    ]
-    return len(deg) - deg.count(1) <= 1, thin
-
-
 def _canonical_rooting(x: str, rec: _Record) -> tuple[int, int, str]:
     """(corner, period, word): the tour position of the rooting whose
     word is `canonical_root`, the tree's rotational period, and that
@@ -241,6 +230,11 @@ def is_flip_tree(x: str) -> bool:
     qualify.  Raises ValueError unless x is a Dyck word, and then unless
     x is a pair source.
 
+    A broom-form word is first put to `flip_tree_by_pattern`, which
+    rejects a vertex 1 with a child that is not a leaf and a thin leaf
+    below a non-root vertex.  The remainder rule then rejects the star
+    and a leaf under a root of degree two, the only losers left.
+
     Rotations are tour positions (see the module docstring), so the test
     lists the positions whose rotation has x's form, takes the first at
     or after the canonical rooting's, and compares it with x's own
@@ -273,13 +267,10 @@ def is_flip_tree(x: str) -> bool:
         if x == "110010":
             forms.append(3)
     else:
-        # x's own rotation must be a broom: vertex 1's children all leaves
-        if high[1] > 1:
+        # vertex 1 a broom, no thin leaf below a non-root vertex
+        if flip_tree_by_pattern(x) is False:
             return False
         deg = _degrees(parent)
-        # stars never qualify, and a thin leaf would force the 1100 form
-        if any(_star_thin(parent, deg)):
-            return False
         # the remainder rule; it holds for the chosen rotation iff it
         # holds for x whenever x is that rotation.  Vertex 1 gives the
         # root a height of 2, so the root's other children are all

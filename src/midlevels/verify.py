@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .bitwords import dyck_words
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
-from .hamcycle import GeneratorState, default_start, total_vertices
-from .trees import _degrees, _record, canonical_root, is_flip_tree, pair_image
+from .hamcycle import GeneratorState, _flip_tree, default_start, total_vertices
+from .trees import _degrees, _record, canonical_root, pair_image
 
 __all__ = [
     "FULL_GRAPH_CAP",
@@ -203,7 +203,8 @@ def flip_graph(n: int) -> list[tuple[str, str]]:
 
     Flip trees are pair sources 110w0v, and the Dyck words with prefix
     110 are "110" + d[1:] for the C_{n-1} Dyck words d with n - 1 ones,
-    so only those are tested.
+    so only those are tested, each as the walk tests it: byte patterns
+    first, a tree only where they leave it open.
     """
     if not 1 <= n <= TREE_GRAPH_CAP:
         raise ValueError("desk-scale only")
@@ -212,7 +213,7 @@ def flip_graph(n: int) -> list[tuple[str, str]]:
     return sorted(
         (canonical_root(x), canonical_root(pair_image(x)))
         for x in ("110" + d[1:] for d in dyck_words(n - 1))
-        if is_flip_tree(x)
+        if _flip_tree(x)
     )
 
 

@@ -9,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import midlevels
-from midlevels import verify
+from midlevels import hamcycle, trees, verify
 from midlevels.bitwords import dyck_words
 from midlevels.cli import main
 from midlevels.flipseq import flip_sequence
 from midlevels.hamcycle import GeneratorState, default_start, total_vertices
-from midlevels.trees import canonical_root, is_flip_tree, pair_image
+from midlevels.trees import (
+    canonical_root,
+    flip_tree_by_pattern,
+    is_flip_tree,
+    pair_image,
+)
 from midlevels.verify import (
     FULL_GRAPH_CAP,
     _cycle_steps,
@@ -228,6 +233,29 @@ def test_flip_graph_matches_the_full_enumeration(n):
         if x[:3] == "110" and is_flip_tree(x)
     )
     assert flip_graph(n) == oracle
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_flip_graph_tests_trees_only_where_the_patterns_leave_it_open(
+    n, monkeypatch
+):
+    # flip_graph decides flip trees as the walk does: every binding of
+    # is_flip_tree sees exactly the prefix-110 words that
+    # flip_tree_by_pattern leaves open, in enumeration order
+    called: list[str] = []
+
+    def counted(x: str) -> bool:
+        called.append(x)
+        return is_flip_tree(x)
+
+    for module in (trees, hamcycle, verify):
+        for attr, value in list(vars(module).items()):
+            if value is is_flip_tree:
+                monkeypatch.setattr(module, attr, counted)
+    flip_graph(n)
+    sources = [x for x in dyck_words(n) if x[:3] == "110"]
+    open_ = [x for x in sources if flip_tree_by_pattern(x) is None]
+    assert open_ and called == open_
 
 
 @pytest.mark.parametrize("n", range(1, 9))
