@@ -18,10 +18,13 @@ path the generator replaces by its modified variant; that single swap
 per orbit is what merges the short cycles into one.  `flip_tree_by_pattern`
 answers the same question for most pair sources from byte patterns in
 the word alone, with no tree: a factor 1100 is a leaf whose neighbour
-has degree two, a prefix 1(10)^k 0 says vertex 1's children are all
-leaves.  `is_flip_tree` takes its broom-form rejections from it, so
-each pattern is stated once.  The generator and the flip graph ask it
-first and build a tree only for the words it leaves open.
+has degree two, a factor 1(10)^k 0 a vertex whose children are all
+leaves.  The rotations of x's form are such factors of x, so
+`is_flip_tree` reads them off the word and builds the tree only to
+find the canonical rooting.  It takes its broom-form verdicts from the
+patterns, so each pattern is stated once.  The generator and the flip
+graph ask the patterns first and build a tree only for the words they
+leave open.
 
 Reading x walks the tree's Euler tour: position i of x (0-based) is one
 step along a directed edge (u, w), and the i-th rotation of x is the
@@ -50,9 +53,9 @@ _Record = tuple[
     list[int], list[int], list[int], list[int], list[int], list[int]
 ]
 
-# 1 (10)^k 0 with k >= 1: vertex 1 of the word's tree has only leaf
-# children
-_BROOM_HEAD = re.compile(r"1(?:10)+0").match
+# 1 (10)^k 0 with k >= 2: a vertex of degree at least three whose
+# children are all leaves, entered from its parent
+_BROOM = re.compile(r"1(?:10){2,}0")
 
 
 def _record(x: str) -> _Record:
@@ -226,19 +229,19 @@ def is_flip_tree(x: str) -> bool:
     until the first rotation exposing either a thin leaf as 1100v, or,
     for trees without thin leaves, a leftmost broom as 1(10)^k 0 v with
     k >= 2; x qualifies iff it equals that rotation, and in the broom
-    case the remainder v = (10)^l must have l >= k.  Stars never
-    qualify.  Raises ValueError unless x is a Dyck word, and then unless
-    x is a pair source.
+    case the remainder v = (10)^l must have l >= k.  Raises ValueError
+    unless x is a Dyck word, and then unless x is a pair source.
 
-    A broom-form word is first put to `flip_tree_by_pattern`, which
-    rejects a vertex 1 with a child that is not a leaf and a thin leaf
-    below a non-root vertex.  The remainder rule then rejects the star
-    and a leaf under a root of degree two, the only losers left.
-
-    Rotations are tour positions (see the module docstring), so the test
-    lists the positions whose rotation has x's form, takes the first at
-    or after the canonical rooting's, and compares it with x's own
-    position 0 modulo the rotational period.
+    Rotations are tour positions (see the module docstring).  A rotation
+    of x's form roots its vertex f at f's one non-leaf neighbour g, and
+    is read where x steps from g into f; when g is f's parent, that step
+    opens a factor 1100 or 1(10)^k 0 of x.  g is a child only where f
+    is the root: in 110010, whose two thin-leaf rotations are one word,
+    and in the double brooms 1(10)^k 0 (10)^l, which
+    `flip_tree_by_pattern` settles.  So the test lists x's factors of
+    its form, takes the first at or after the canonical rooting's
+    position, and compares it with x's own position 0 modulo the
+    rotational period.
     """
     # Qualifying words start 1100 (thin-leaf form) or 11010 (broom
     # form); any other prefix loses without building a tree.
@@ -249,47 +252,17 @@ def is_flip_tree(x: str) -> bool:
             raise ValueError("not in tau domain")
         return False
     rec = _record(x)
-    parent, opens, closes, high, second, top = rec
     if x[3] == "0":
-        # one rotation of the thin-leaf form per thin leaf, rooted at the
-        # other neighbour g of the leaf's degree-two neighbour f.  A
-        # factor 1100 at q is a leaf whose parent f is not the root and
-        # has no other child; the rooting (g, f) is where x steps into f,
-        # at q.  Other than 1100, answered above, a word starting 1100
-        # has one more thin leaf only when the root has degree two and a
-        # leaf child: 110010, whose leaf under the root gives the
-        # rooting (vertex 1, root) at 3.
         forms = []
         q = 0
         while q >= 0:
             forms.append(q)
             q = x.find("1100", q + 4)
-        if x == "110010":
-            forms.append(3)
     else:
-        # vertex 1 a broom, no thin leaf below a non-root vertex
-        if flip_tree_by_pattern(x) is False:
-            return False
-        deg = _degrees(parent)
-        # the remainder rule; it holds for the chosen rotation iff it
-        # holds for x whenever x is that rotation.  Vertex 1 gives the
-        # root a height of 2, so the root's other children are all
-        # leaves iff its second height is at most 1.
-        if deg[0] < deg[1] and second[0] <= 1:
-            return False
-        # one rotation of the broom form per vertex f of degree at least
-        # three with one non-leaf neighbour g, rooted at g: either f's
-        # parent, all of f's children being leaves, or f's one child that
-        # is not a leaf, when f is the root or hangs off a leaf root
-        forms = []
-        for f, d in enumerate(deg):
-            if d < 3:
-                continue
-            if f and deg[parent[f]] != 1:
-                if high[f] == 1:
-                    forms.append(opens[f])
-            elif high[f] > 1 and second[f] <= 1:
-                forms.append(closes[top[f]])
+        hit = flip_tree_by_pattern(x)
+        if hit is not None:
+            return hit
+        forms = [m.start() for m in _BROOM.finditer(x)]
     if len(forms) == 1:
         return True  # the one rotation of x's form is x's own
     start, period, _ = _canonical_rooting(x, rec)
@@ -307,16 +280,25 @@ def flip_tree_by_pattern(x: str) -> bool | None:
     1(10)^k 0 v, k >= 2, so a word starting 11011, and 1100 itself, a
     star, lose.  A factor 1100 is a thin leaf below a non-root vertex;
     the only other thin leaves a word starting 1100 can have hang off a
-    root of degree two, which happens just for 110010.  So a thin-leaf
-    form word with one factor 1100 and other than 110010 has one thin
-    leaf, hence one rotation of its form, its own, and wins.  A broom
-    form word loses if it has a thin leaf, since a thin leaf forces the
-    other form, or if vertex 1 has a child that is not a leaf.
+    root of degree two, which happens just for 110010, whose two
+    thin-leaf rotations are the same word.  So a thin-leaf form word
+    with one factor 1100 has one rotation of its form, its own, and
+    wins.  A broom form word loses if it has a thin leaf, since a thin
+    leaf forces the other form, or if vertex 1 has a child that is not
+    a leaf.  A double broom 1(10)^k 0 (10)^l wins iff l >= k: l = 0 is
+    the star, l = 1 has a thin leaf under the root, and for l >= 2 its
+    two broom rotations are x and 1(10)^l 0 (10)^k, of which the
+    remainder rule keeps the one with l >= k.
     """
     if x[3:5] == "11" or x == "1100":
         return False
     if x[3] == "0":
-        return True if x.count("1100") == 1 and x != "110010" else None
-    if "1100" in x or not _BROOM_HEAD(x):
+        return True if x.count("1100") == 1 else None
+    head = "1100" not in x and _BROOM.match(x)
+    if not head:
         return False
+    # the rest after the head is a forest; it is (10)^l iff it has no 11
+    e = head.end()
+    if x.find("11", e) < 0:
+        return len(x) - e >= e - 2  # l >= k
     return None

@@ -221,6 +221,8 @@ def plane_tree_count(n: int) -> int:
     """The number of plane trees with n >= 1 edges, by Walkup's closed
     formula ("The number of plane trees", Mathematika 19, 1972; OEIS
     A002995)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
 
     def cat(k: int) -> int:
         return comb(2 * k, k) // (k + 1)

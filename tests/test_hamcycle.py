@@ -175,6 +175,35 @@ def test_resume_runs_the_flip_tree_test_once(n, monkeypatch):
         assert len(calls) == (y[:3] in ("110", "101")), start
 
 
+def test_one_cycle_at_n5_builds_a_tree_for_six_pair_tests(monkeypatch):
+    # over one cycle from the default start, after the constructor's own
+    # test, the walk tests 28 words for a pair; the patterns settle all
+    # but 6, words with two factors 1100, and only those build a tree
+    n = 5
+    state = GeneratorState(n, default_start(n))
+    partner, tree = hamcycle._partner, hamcycle.is_flip_tree
+    tested: list[str] = []
+    built: list[str] = []
+
+    def counted_partner(y: str) -> str | None:
+        tested.append(y)
+        return partner(y)
+
+    def counted_tree(x: str) -> bool:
+        built.append(x)
+        return tree(x)
+
+    monkeypatch.setattr(hamcycle, "_partner", counted_partner)
+    monkeypatch.setattr(hamcycle, "is_flip_tree", counted_tree)
+    buf = state.buffer
+    for part in state._passes(total_vertices(n) - 1):
+        for p in part:
+            buf[p] ^= 1
+    assert len(tested) == 28
+    assert len(built) == 6
+    assert all(x.count("1100") == 2 for x in built)
+
+
 def test_full_cycle_n1():
     assert list(generate(1)) == N1_CYCLE
 

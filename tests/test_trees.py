@@ -179,15 +179,31 @@ def test_flip_tree_by_pattern_agrees_where_it_answers(n):
 
 
 def test_flip_tree_by_pattern_examples():
-    # two thin leaves, one at the root: only the tree can choose
-    assert flip_tree_by_pattern("110010") is None
+    # two thin leaves, one at the root, whose rotations are one word
+    assert flip_tree_by_pattern("110010") is True
     assert flip_tree_by_pattern("1100") is False  # star
     assert flip_tree_by_pattern("11011000") is False  # prefix 11011
     assert flip_tree_by_pattern("11001100") is None  # two factors 1100
     assert flip_tree_by_pattern("11001010") is True  # one thin leaf
     assert flip_tree_by_pattern("1101001100") is False  # broom with a thin leaf
     assert flip_tree_by_pattern("110101101000") is False  # vertex 1 not a broom
-    assert flip_tree_by_pattern("110101001010") is None  # broom: remainder rule
+    # double brooms 1(10)^k 0 (10)^l win iff l >= k
+    assert flip_tree_by_pattern("1101001010") is True  # k = l = 2
+    assert flip_tree_by_pattern("110101001010") is False  # k = 3, l = 2
+    assert flip_tree_by_pattern("1101010010") is False  # k = 3, l = 1
+    assert flip_tree_by_pattern("1101010100") is False  # the star, n = 5
+    assert flip_tree_by_pattern("11010010110100") is None  # two brooms
+
+
+def test_flip_tree_by_pattern_settles_double_brooms():
+    words = [
+        "1" + "10" * k + "0" + "10" * l for k in range(2, 7) for l in range(9)
+    ]
+    words.append("1" + "10" * 200 + "0" + "10" * 299)
+    for x in words:
+        expected = adjacency_is_flip_tree(x)
+        assert flip_tree_by_pattern(x) is expected, x
+        assert is_flip_tree(x) is expected, x
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -225,6 +225,12 @@ def test_plane_tree_count_matches_oeis():
     assert {n: plane_tree_count(n) for n in PLANE_TREE_COUNTS} == PLANE_TREE_COUNTS
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_plane_tree_count_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        plane_tree_count(n)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_flip_graph_matches_the_full_enumeration(n):
     oracle = sorted(
