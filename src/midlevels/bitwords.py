@@ -32,7 +32,10 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 def rev_complement(x: str) -> str:
     """Reverse the word and complement every bit.  An involution that
-    maps Dyck words to Dyck words and near-Dyck words to near-Dyck words."""
+    maps Dyck words to Dyck words and near-Dyck words to near-Dyck words.
+    Nothing in the package calls it; it stays because the benchmark's
+    tracer wraps it by name, until the tracer's list of names drops it.
+    """
     return x.translate(_COMPLEMENT)[::-1]
 
 
@@ -85,7 +88,9 @@ def decompose_near_dyck(y: str) -> tuple[str, str]:
     """Split a near-Dyck word as y = u 0 1 v and return (u, v).
 
     The marked 0 is the unique step dipping below zero; u and v are Dyck
-    words.
+    words.  Nothing in the package calls it; it stays because the
+    benchmark's tracer wraps it by name, until the tracer's list of
+    names drops it.
     """
     if y.count("0") + y.count("1") != len(y):
         raise ValueError("not a binary word")

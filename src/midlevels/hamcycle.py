@@ -33,22 +33,21 @@ source is read off byte patterns of the word
 (`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a tree record
 only where the patterns leave it open.
 
-`GeneratorState` can start at any vertex.  One parse of its lattice
-path, a descent to the lowest level and an ascent back, gives the first
-vertex of the basic path through the start and the start's step index
-on it.  On top bit 0 the round is built from that vertex; on top
-bit 1, where the path is the mirrored backward half of a round from
-1u0v, the whole basic table of 1u0v is built from the split of that
-vertex.  Every start yields the same cyclic listing, merely rotated.
+`GeneratorState` can start at any vertex.  One bracket scan of the
+start, for either top bit, gives the first vertex x of the round whose
+basic table holds it and its index in that table (`_locate`): x is the
+start with its unmatched bits flipped, one of them dropped by the
+start's weight, and a 1 put in front.  On top bit 0 the round is built
+from x, or from its pair partner; on top bit 1, in the backward half,
+the basic table of x is the round.  Every start yields the same cyclic
+listing, merely rotated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from itertools import accumulate
 from math import comb
 
-from .bitwords import rev_complement
 from .flipseq import _run, flip_sequence, pair_source_sequence, pair_target_sequence
 from .trees import flip_tree_by_pattern, is_flip_tree, pair_image, pair_preimage
 
@@ -62,9 +61,6 @@ __all__ = [
     "total_vertices",
     "default_start",
 ]
-
-_STEP = {48: -1, 49: 1}  # lattice step of an ASCII '0' or '1'
-
 
 def total_vertices(n: int) -> int:
     """Number of distinct vertices: both middle binomials of 2n+1."""
@@ -80,60 +76,63 @@ def path_first_vertex(z: str) -> tuple[str, int]:
 
     z is a word of length 2n and weight n or n+1.  The result is (y, t):
     y is the Dyck word whose walk under flip_sequence visits z, and z is
-    the word after the first t flips of that walk.  Both are read off
-    z's lattice path in one descent and one ascent (_split_path).
+    the word after the first t flips of that walk.  It is _locate read
+    at the vertex z0.
     """
-    y, _, t = _split_path(z)
-    return y, t
+    return _locate(z + "0")
 
 
-def _split_path(z: str) -> tuple[str, int, int]:
-    """path_first_vertex(z) with the close b of y's first run: (y, b, t).
+def _locate(start: str) -> tuple[str, int]:
+    """The first vertex x of the round whose basic table holds the vertex
+    start, and the index k of start in that table.
 
-    After 2p steps from y = 1u0v the walk stands on
+    One scan of z = start[:-1], '1' opening and '0' closing, finds its
+    unmatched zeros, the first arrivals at the levels below 0, and its
+    unmatched ones, the last departures from the levels it ends above.
+    After 2p steps from x = 1u0v the forward walk stands on
 
         D0 0 D1 0 ... 0 Dk 0 Ek 1 ... 1 E0 1 v
 
-    with every Di and Ei a Dyck word.  Its zeros are the first arrivals
-    at the levels -1 down to the minimum m, the last of them at p; its
-    ones are the last departures from the levels m up to -1, the last
-    of them at b.  y is z with those bits flipped, the bit at p dropped
-    and a 1 put in front, and t = 2p.  A word of weight n+1 lies one
-    step before such a word: the one with z's last departure from m, at
-    p, flipped down, which lowers the rest of the walk by 2.  So its
-    ones are z's last departures from m+1 up to 1, the departure from m
-    is the bit dropped, and t = 2p - 1.  A Dyck word z is y itself, with
-    t = 0.
+    with every Di and Ei a Dyck word and the last unmatched 0 at p, and
+    one step earlier on the same word with that 0 a 1, the first
+    unmatched one.  So x is z with its unmatched bits flipped, the bit
+    at 0-based index d dropped and a 1 put in front, and
+    k = 2d + 2 - heavy, heavy = weight - n: the bit dropped is the last
+    unmatched zero on weight n and the first unmatched one on weight
+    n+1.  The backward half of x's round is a
+    basic path mirrored, which swaps the unmatched zeros with the ones
+    and reverses their order, so top bit 1 keeps both rules but one: its
+    first unmatched zero closes x's first run and is not flipped.  A
+    Dyck z is x itself, with k = 0, on top bit 0; on top bit 1, z = u1v0
+    is the last vertex of the round from x = 1u0v, with k = 4n+1.
     """
-    n2 = len(z)
-    n = n2 // 2
-    wt = z.count("1")
-    if n2 == 0 or n2 % 2 or wt + z.count("0") != n2 or wt not in (n, n + 1):
+    n = len(start) // 2
+    heavy = start.count("1") - n
+    if not n or heavy not in (0, 1) or start.count("0") != n + 1 - heavy:
         raise ValueError("not a middle-levels word")
-    odd = wt - n
-    codes = z.encode()
-    heights = list(accumulate(map(_STEP.__getitem__, codes), initial=0))
-    m = min(heights)
-    if m == 0 and not odd:
-        return z, heights.index(0, 1), 0
+    codes = start[:-1].encode()
+    opened, zeros = [], []
+    for i, c in enumerate(codes):
+        if c == 49:  # '1'
+            opened.append(i)
+        elif opened:
+            j = opened.pop()
+        else:
+            zeros.append(i)
+    top = start[-1] == "1"
+    if not (opened or zeros):
+        # z is a Dyck word, and j opens its last run
+        if top:
+            return f"1{start[:j]}0{start[j + 1 : -2]}", 4 * n + 1
+        return start[:-1], 0
+    d = opened[0] if heavy else zeros[-1]
     bits = bytearray(codes)
-    p = 0
-    for lev in range(-1, m - 1, -1):
-        p = heights.index(lev, p)
-        bits[p - 1] = 49  # '1'
-    # heights read from the right: rev[r] is the height at point n2 - r.
-    # The walk ends above the ones, so a higher level is left later and
-    # is found first from the right.
-    rev = heights[::-1]
-    r = rev.index(2 * odd - 1)
-    b = n2 + 1 - r
-    for lev in range(2 * odd - 1, m - 1, -1):
-        r = rev.index(lev, r)
-        bits[n2 - r] = 48  # '0'
-    if odd:
-        p = n2 + 1 - r
-    del bits[p - 1]
-    return "1" + bits.decode(), b, 2 * p - odd
+    for i in opened:
+        bits[i] = 48  # '0'
+    for i in zeros[top:]:
+        bits[i] = 49  # '1'
+    del bits[d]
+    return "1" + bits.decode(), 2 * d + 2 - heavy
 
 
 def _flip_tree(x: str) -> bool:
@@ -175,9 +174,9 @@ def forward_sequence(x: str, flips: bool = True) -> list[int]:
 
 def _round(y: str) -> list[int]:
     """The basic round table of the Dyck word y = 1u0v: the scan of its
-    first run, then of v inside the virtual run (b, 2n+1).  y is made of
-    pieces of a word that _split_path has validated, so it is not
-    checked again."""
+    first run, then of v inside the virtual run (b, 2n+1).  y is built
+    by _locate from a word it has validated, so it is not checked
+    again."""
     word = y.encode()
     seq = []
     b = _run(word, 0, seq)
@@ -223,8 +222,8 @@ class GeneratorState:
     next round's first vertex, where the next list is built by shifting
     this one: a list that _passes yields must not be mutated.
 
-    A start vertex is split once, by one parse of its lattice path, into
-    the first vertex of the path it lies on and its step index there;
+    A start vertex is read once, by one bracket scan, into the first
+    vertex of the round it lies on and its index in that round's table;
     the round is built from the one and the cursor set at the other.
     """
 
@@ -236,19 +235,18 @@ class GeneratorState:
         size = 2 * n + 1
         if start is None:
             start = default_start(n)
-        # path_first_vertex checks the rest of the word
-        if len(start) != size or start[-1] not in "01":
+        # _locate counts the bits of the word, the top bit included
+        if len(start) != size:
             raise ValueError("not a middle-levels word")
         self.n = n
         self.flips = flips
         self.i = 1
         self._buf = bytearray(b"0") + start.encode()
         self._last: int | None = None
-        z = start[:-1]
-        if start[-1] == "1":
-            self._start_backward(z)
+        if start[-1] != "0":
+            self._start_backward(start)
             return
-        y, t = path_first_vertex(z)
+        y, t = path_first_vertex(start[:-1])
         p = _partner(y) if flips else None
         if p is not None and t:
             # z's basic path was traded away in a pair, so z lies on
@@ -319,19 +317,15 @@ class GeneratorState:
         if self.flips and buf[2] != buf[3] and _partner(buf[1:-1].decode()):
             _pair_round(seq, buf[2] == 49)
 
-    def _start_backward(self, z: str) -> None:
-        # z + '1' lies in the backward half of a round that ends on u1v0,
-        # the basic path from g = 1 rc(v) 0 rc(u) mirrored and walked
-        # backwards, so rc(z) lies on it.  That half depends only on
-        # u01v, so it is the half of x = 1u0v's basic table, which the
-        # shift also reads right: a pair source's round ends where its
-        # target's basic round does, and a target's is shifted as its
-        # source's basic table.  The forward half is never walked.
-        g, b, t = _split_path(rev_complement(z))
-        u, v = rev_complement(g[b:]), rev_complement(g[1 : b - 1])
-        self._seq = _round(f"1{u}0{v}")
-        # steps t of g's path are the last t steps of the backward half
-        self._k = len(self._seq) - 1 - t
+    def _start_backward(self, start: str) -> None:
+        # start lies in the backward half of a round that ends on u1v0.
+        # That half depends only on u01v, so it is the half of the basic
+        # table of x = 1u0v, which the shift also reads right: a pair
+        # source's round ends where its target's basic round does, and a
+        # target's is shifted as its source's basic table.  The forward
+        # half is never walked.
+        x, self._k = _locate(start)
+        self._seq = _round(x)
 
     @property
     def buffer(self) -> bytearray:

@@ -9,8 +9,7 @@ correspond to plane trees.
 `_record` reads a word once into one flat record of its tree, the one
 tree representation here: per vertex its parent, the positions of the
 steps into and out of it, and its two largest child heights.  The
-tree's center is a walk down from the root along the highest children,
-and the degrees are counted from the parent array.
+tree's center is a walk down from the root along the highest children.
 `canonical_root` picks one rooting per plane tree, anchored at the
 tree's center, and reads its word off x relabelled from that center.
 `is_flip_tree` marks, within each non-star orbit, exactly one word whose
@@ -130,15 +129,6 @@ def _center(rec: _Record) -> list[int]:
         if e == ecc:
             return [v, w]
         v, ecc = w, e
-
-
-def _degrees(parent: list[int]) -> list[int]:
-    """Vertex degrees, counted from the parent array."""
-    deg = [1] * len(parent)
-    deg[0] = 0
-    for p in parent[1:]:
-        deg[p] += 1
-    return deg
 
 
 def _canonical_rooting(x: str, rec: _Record) -> tuple[int, int, str]:

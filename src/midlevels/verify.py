@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .bitwords import dyck_words
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .hamcycle import GeneratorState, _flip_tree, default_start, total_vertices
-from .trees import _degrees, _record, canonical_root, pair_image
+from .trees import _record, canonical_root, pair_image
 
 __all__ = [
     "FULL_GRAPH_CAP",
@@ -235,6 +235,15 @@ def plane_tree_count(n: int) -> int:
     if n % 2:
         total += n * cat((n - 1) // 2)
     return total // (2 * n)
+
+
+def _degrees(parent: list[int]) -> list[int]:
+    """Vertex degrees, counted from the parent array."""
+    deg = [1] * len(parent)
+    deg[0] = 0
+    for p in parent[1:]:
+        deg[p] += 1
+    return deg
 
 
 def tree_signature(x: str) -> tuple[int, int, int]:

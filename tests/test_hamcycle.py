@@ -68,6 +68,24 @@ def test_path_first_vertex_covers_every_walk(n):
     assert seen == set(middle_words(n))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_backward_half_starts_resume_in_their_round(n):
+    # every vertex with top bit 1 lies in the backward half of one basic
+    # round, and a resume there holds that round's table at its index
+    seen = set()
+    for x in dyck_words(n):
+        walk = GeneratorState(n, x + "0", flips=False)
+        next(walk)
+        while not walk.at_first_vertex:
+            v = walk.vertex()
+            if v[-1] == "1":
+                state = GeneratorState(n, v, flips=False)
+                assert (state._seq, state._k) == (walk._seq, walk._k), v
+                seen.add(v)
+            next(walk)
+    assert seen == {w + "1" for w in all_words(2 * n) if w.count("1") in (n - 1, n)}
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_path_first_vertex_covers_long_walks(seed):
     # whole walks from seeded n = 500 Dyck words whose first run holds at

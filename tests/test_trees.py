@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from midlevels.bitwords import dyck_words
 from midlevels.trees import (
     _center,
-    _degrees,
     _record,
     canonical_root,
     flip_tree_by_pattern,
@@ -17,6 +16,7 @@ from midlevels.trees import (
     pair_image,
     pair_preimage,
 )
+from midlevels.verify import _degrees
 
 from helpers import (
     adjacency_canonical_root,
