@@ -12,11 +12,11 @@ partner y = 101w0v additionally admit modified rules
 paths cover the same vertices but with the endpoints exchanged.  That
 exchange is the splice the full generator uses to join cycles.
 
-One scan, `_run`, builds every flip list, the generator's rounds
-included, reading left to right with '1' opening a nested run and every
-other byte closing one; its table puts position p's entry at index 2p-2
-and p itself at 2p-1.  `flip_sequence` and `pair_target_sequence` take
-words from anyone and check the run they scanned afterwards.
+One scan, `_run`, builds the lists of `flip_sequence` and
+`pair_target_sequence`, reading left to right with '1' opening a nested
+run and every other byte closing one; its table puts position p's entry
+at index 2p-2 and p itself at 2p-1, as the generator's round tables do.
+Both take words from anyone and check the run they scanned afterwards.
 """
 
 from __future__ import annotations

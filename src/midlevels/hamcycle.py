@@ -35,12 +35,13 @@ only where the patterns leave it open.
 
 `GeneratorState` can start at any vertex.  One bracket scan of the
 start, for either top bit, gives the first vertex x of the round whose
-basic table holds it and its index in that table (`_locate`): x is the
-start with its unmatched bits flipped, one of them dropped by the
-start's weight, and a 1 put in front.  On top bit 0 the round is built
-from x, or from its pair partner; on top bit 1, in the backward half,
-the basic table of x is the round.  Every start yields the same cyclic
-listing, merely rotated.
+basic table holds it, its index in that table and the table itself
+(`_locate`): x is the start with its unmatched bits flipped, one of them
+dropped by the start's weight, and a 1 put in front.  On top bit 0 a
+pair word's table is patched into its own pair round or, past its first
+vertex, its partner's; on top bit 1, in the backward half, the basic
+table of x is the round.  Every start yields the same cyclic listing,
+merely rotated.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from math import comb
 
-from .flipseq import _run, flip_sequence, pair_source_sequence, pair_target_sequence
+from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .trees import flip_tree_by_pattern, is_flip_tree, pair_image, pair_preimage
 
 __all__ = [
@@ -77,14 +78,14 @@ def path_first_vertex(z: str) -> tuple[str, int]:
     z is a word of length 2n and weight n or n+1.  The result is (y, t):
     y is the Dyck word whose walk under flip_sequence visits z, and z is
     the word after the first t flips of that walk.  It is _locate read
-    at the vertex z0.
+    at the vertex z0, less the table.
     """
-    return _locate(z + "0")
+    return _locate(z + "0")[:2]
 
 
-def _locate(start: str) -> tuple[str, int]:
+def _locate(start: str) -> tuple[str, int, list[int]]:
     """The first vertex x of the round whose basic table holds the vertex
-    start, and the index k of start in that table.
+    start, the index k of start in that table, and the table.
 
     One scan of z = start[:-1], '1' opening and '0' closing, finds its
     unmatched zeros, the first arrivals at the levels below 0, and its
@@ -96,43 +97,68 @@ def _locate(start: str) -> tuple[str, int]:
     with every Di and Ei a Dyck word and the last unmatched 0 at p, and
     one step earlier on the same word with that 0 a 1, the first
     unmatched one.  So x is z with its unmatched bits flipped, the bit
-    at 0-based index d dropped and a 1 put in front, and
-    k = 2d + 2 - heavy, heavy = weight - n: the bit dropped is the last
-    unmatched zero on weight n and the first unmatched one on weight
-    n+1.  The backward half of x's round is a
+    at position d dropped and a 1 put in front, and k = 2d - heavy,
+    heavy = weight - n: the bit dropped is the last unmatched zero on
+    weight n and the first unmatched one on weight n+1.  The backward
+    half of x's round is a
     basic path mirrored, which swaps the unmatched zeros with the ones
     and reverses their order, so top bit 1 keeps both rules but one: its
     first unmatched zero closes x's first run and is not flipped.  A
     Dyck z is x itself, with k = 0, on top bit 0; on top bit 1, z = u1v0
     is the last vertex of the round from x = 1u0v, with k = 4n+1.
+
+    x's matched pairs are z's, so the scan writes their table entries
+    as it pops them, numbered as if no bit were dropped; the entries
+    after d then move down by one.  The flipped bits pair up as nested
+    brackets behind x's leading 1, which pairs with the last of them to
+    close (on top bit 1, with the unflipped first zero) at b.
     """
     n = len(start) // 2
     heavy = start.count("1") - n
     if not n or heavy not in (0, 1) or start.count("0") != n + 1 - heavy:
         raise ValueError("not a middle-levels word")
+    size = 2 * n + 1
     codes = start[:-1].encode()
+    # e[i] is the entry of x's position i+1, which the scan fills for
+    # z's position i
+    e = [0] * size
     opened, zeros = [], []
-    for i, c in enumerate(codes):
+    for i, c in enumerate(codes, 1):
         if c == 49:  # '1'
             opened.append(i)
         elif opened:
             j = opened.pop()
+            e[j] = i + 1
+            e[i] = j
         else:
             zeros.append(i)
     top = start[-1] == "1"
     if not (opened or zeros):
         # z is a Dyck word, and j opens its last run
         if top:
-            return f"1{start[:j]}0{start[j + 1 : -2]}", 4 * n + 1
-        return start[:-1], 0
-    d = opened[0] if heavy else zeros[-1]
-    bits = bytearray(codes)
-    for i in opened:
-        bits[i] = 48  # '0'
-    for i in zeros[top:]:
-        bits[i] = 49  # '1'
-    del bits[d]
-    return "1" + bits.decode(), 2 * d + 2 - heavy
+            # d = 2n+1: nothing moves, and k = 4n+1
+            x, d, b = f"1{start[: j - 1]}0{start[j:-2]}", size, j + 1
+        else:
+            x, d, b = start[:-1], 0, e[1] - 1
+    else:
+        bits = bytearray(codes)
+        for i in opened:
+            bits[i - 1] = 48  # '0'
+        for i in zeros[top:]:
+            bits[i - 1] = 49  # '1'
+        d = opened.pop(0) if heavy else zeros.pop()
+        del bits[d - 1]
+        x = "1" + bits.decode()
+        b = zeros.pop(0) + 1 if top else opened.pop()
+        for i, j in zip(reversed(zeros), opened):
+            e[i] = j
+            e[j] = i + 1
+    e[d:-1] = [p - 1 for p in e[d + 1 :]]
+    e[0], e[b - 1], e[-1] = b, size, b - 1
+    seq = [0] * (2 * size)
+    seq[::2] = e
+    seq[1::2] = range(1, size + 1)
+    return x, 2 * d - heavy, seq
 
 
 def _flip_tree(x: str) -> bool:
@@ -170,19 +196,6 @@ def forward_sequence(x: str, flips: bool = True) -> list[int]:
             return pair_source_sequence(x)
         return pair_target_sequence(x)
     return flip_sequence(x)
-
-
-def _round(y: str) -> list[int]:
-    """The basic round table of the Dyck word y = 1u0v: the scan of its
-    first run, then of v inside the virtual run (b, 2n+1).  y is built
-    by _locate from a word it has validated, so it is not checked
-    again."""
-    word = y.encode()
-    seq = []
-    b = _run(word, 0, seq)
-    top = _run(b"1" + word[b:] + b"0", b - 1, seq)
-    seq += (b - 1, top)
-    return seq
 
 
 def _pair_round(seq: list[int], source: bool) -> None:
@@ -223,8 +236,8 @@ class GeneratorState:
     this one: a list that _passes yields must not be mutated.
 
     A start vertex is read once, by one bracket scan, into the first
-    vertex of the round it lies on and its index in that round's table;
-    the round is built from the one and the cursor set at the other.
+    vertex of the round it lies on, that word's basic table and the
+    start's index in it; only a pair word's table is patched after.
     """
 
     __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_last")
@@ -246,18 +259,22 @@ class GeneratorState:
         if start[-1] != "0":
             self._start_backward(start)
             return
-        y, t = path_first_vertex(start[:-1])
-        p = _partner(y) if flips else None
-        if p is not None and t:
-            # z's basic path was traded away in a pair, so z lies on
-            # the partner's walk.  Steps 1 to 5 of the target rule
-            # [b, 1, 2, 3, 1, 2] visit the source's steps 5 to 1.
-            y = p
-            if p[1] == "0" and t < 6:
-                t = 6 - t
-        self._seq = _round(y)
-        if p is not None:
-            _pair_round(self._seq, y[1] == "1")
+        y, t, seq = _locate(start)
+        if flips and _partner(y) is not None:
+            if not t:
+                _pair_round(seq, y[1] == "1")
+            elif y[1] == "1":
+                # the start lies on the walk of y's target, whose pair
+                # round is y's table behind the rule [b, 1, 2, 3, 1, 2];
+                # its steps 1 to 5 visit y's steps 5 to 1
+                seq[2:6] = 2, 3, 1, 2
+                if t < 6:
+                    t = 6 - t
+            else:
+                # the start lies on the walk of y's source, whose pair
+                # round is y's table behind the rule [3, 1]
+                seq[0] = 3
+        self._seq = seq
         self._k = t
 
     def __iter__(self) -> GeneratorState:
@@ -320,12 +337,12 @@ class GeneratorState:
     def _start_backward(self, start: str) -> None:
         # start lies in the backward half of a round that ends on u1v0.
         # That half depends only on u01v, so it is the half of the basic
-        # table of x = 1u0v, which the shift also reads right: a pair
-        # source's round ends where its target's basic round does, and a
-        # target's is shifted as its source's basic table.  The forward
-        # half is never walked.
-        x, self._k = _locate(start)
-        self._seq = _round(x)
+        # table of x = 1u0v, which _locate writes in the scan that finds
+        # the start's index.  The shift also reads that table right: a
+        # pair source's round ends where its target's basic round does,
+        # and a target's is shifted as its source's basic table.  The
+        # forward half is never walked.
+        _, self._k, self._seq = _locate(start)
 
     @property
     def buffer(self) -> bytearray:

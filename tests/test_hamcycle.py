@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from midlevels import hamcycle
+from midlevels import flipseq, hamcycle
 from midlevels.bitwords import decompose_near_dyck, dyck_words, is_dyck_word
 from midlevels.flipseq import (
     flip_sequence,
@@ -279,13 +279,13 @@ def test_full_listing_is_a_single_cycle(n):
 
 
 def _spy_on_scans(monkeypatch) -> list[int]:
-    # one entry per call of the builders that scan a word and of _run,
-    # the scan they share
+    # one entry per call of the functions that scan a word: _locate, the
+    # resume's scan, and flipseq's _run, which builds flipseq's lists
     scans: list[int] = []
-    for name in ("flip_sequence", "_round", "_run"):
-        scan = getattr(hamcycle, name)
+    for module, name in ((hamcycle, "_locate"), (flipseq, "_run")):
+        scan = getattr(module, name)
         monkeypatch.setattr(
-            hamcycle, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
+            module, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
         )
     return scans
 
@@ -427,6 +427,25 @@ def test_round_lists_match_the_oracle(start):
         assert got[:4] == [3, 1, 2 * n + 1, 2]
     elif kind == "target":
         assert got[1:6] == [1, 2, 3, 1, 2]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(middle_words_up_to_500(top=True), st.booleans())
+def test_resume_installs_the_round_of_its_first_vertex(v, flips):
+    # undoing the flips before the cursor leads from v back to the first
+    # vertex x0 of the installed round, which must be that round's table
+    n = len(v) // 2
+    state = GeneratorState(n, v, flips)
+    x0 = apply_flips(v, state._seq[: state._k][::-1])[-1]
+    x = x0[:-1]
+    assert x0[-1] == "0" and is_dyck_word(x)
+    if v[-1] == "0":
+        assert state._seq == _round_oracle(x, flips)
+    else:
+        # the cursor is past the top bit's flip, the entry of b at 2b-2,
+        # and the backward half is the same in every round ending there
+        assert state._k > 2 * state._seq[0] - 2
+        assert state._seq == _round_oracle(x, False)
 
 
 def _patched_round(x: str) -> list[int]:
