@@ -21,11 +21,11 @@ round is its table with the entries of at most five positions patched,
 and a pair target's round is shifted as the table of its source, whose
 basic round ends on the same vertex.  A resume installs a whole round
 table too, so every round start is a shift and only the constructor
-scans a word.  Round starts are the only points
-where any O(n) bookkeeping happens, so the amortized cost per visit is
-constant and the working set stays O(n).  The package's own drivers
-take the walk a round at a time, as flip lists to apply to the buffer;
-the public cursor steps one vertex per call.
+scans a word.  Round starts are the only points where any O(n)
+bookkeeping happens, so the amortized cost per visit is constant and
+the working set stays O(n).  The package's own drivers take the walk a
+round at a time, as flip lists to apply to the buffer; the public
+cursor steps one vertex per call, at the cost of one flip.
 
 A round start asks whether x is a word of a flip pair, whose forward
 half follows the modified pair rules.  The flip-tree test on the pair
@@ -225,22 +225,24 @@ class GeneratorState:
     next(state) advances one vertex and returns the internal buffer: a
     bytearray of ASCII '0'/'1' codes with a sentinel byte at index 0, so
     buffer[p] is the bit at 1-based position p; the state never reads
-    the sentinel.  The buffer is owned by
-    the state and overwritten in place; use vertex() for a string
-    snapshot.  i counts visits, the start vertex included.
+    the sentinel.  The buffer is owned by the state and overwritten in
+    place; use vertex() for a string snapshot.  i (read-only) counts
+    visits, the start vertex included, and last_flip is the position the
+    last step flipped, None before the first.
 
     The cursor is the current round's flip list, always a whole table
-    of 4n+2 entries, and the index of the next flip in it.  The list
+    of 4n+2 entries, and the index k of the next flip in it.  The list
     ends with the flip of position 2n+1 down to 0, which lands on the
     next round's first vertex, where the next list is built by shifting
-    this one: a list that _passes yields must not be mutated.
+    this one: a list that _passes yields must not be mutated.  i is k
+    plus an offset that a step moves by 4n+2 when it ends a round.
 
     A start vertex is read once, by one bracket scan, into the first
     vertex of the round it lies on, that word's basic table and the
     start's index in it; only a pair word's table is patched after.
     """
 
-    __slots__ = ("n", "flips", "i", "_buf", "_seq", "_k", "_last")
+    __slots__ = ("n", "flips", "last_flip", "_buf", "_seq", "_k", "_i0", "_end")
 
     def __init__(self, n: int, start: str | None = None, flips: bool = True):
         if n < 1:
@@ -253,9 +255,9 @@ class GeneratorState:
             raise ValueError("not a middle-levels word")
         self.n = n
         self.flips = flips
-        self.i = 1
+        self.last_flip: int | None = None
+        self._end = 2 * size - 1
         self._buf = bytearray(b"0") + start.encode()
-        self._last: int | None = None
         if start[-1] != "0":
             self._start_backward(start)
             return
@@ -274,25 +276,21 @@ class GeneratorState:
                 # the start lies on the walk of y's source, whose pair
                 # round is y's table behind the rule [3, 1]
                 seq[0] = 3
-        self._seq = seq
-        self._k = t
+        self._seq, self._k, self._i0 = seq, t, 1 - t
 
     def __iter__(self) -> GeneratorState:
         return self
 
     def __next__(self) -> bytearray:
         buf = self._buf
-        seq = self._seq
         k = self._k
-        p = seq[k]
+        p = self.last_flip = self._seq[k]
         buf[p] ^= 1
-        self._last = p
-        k += 1
-        if k == len(seq):
+        if k == self._end:
+            self._i0 += k + 1
             self._start_forward()
         else:
-            self._k = k
-        self.i += 1
+            self._k = k + 1
         return buf
 
     def _passes(self, steps: int) -> Iterator[list[int]]:
@@ -303,9 +301,10 @@ class GeneratorState:
         end.  The consumer applies each list to the buffer before asking
         for the next one, because the next round is built from the vertex
         the list leads to, and must not mutate it, because the next round
-        is derived from it.  The cursor's own fields (i, last_flip,
-        at_first_vertex) are not advanced, so a driver that takes the walk
-        this way does not also step the state.
+        is derived from it.  Only the round starts it crosses move the
+        cursor, and i and last_flip do not follow: at_first_vertex reads
+        the last round start crossed, or the cursor's place if none was.
+        A driver that takes the walk this way does not also step the state.
         """
         seq = self._seq[self._k :]
         while len(seq) < steps:
@@ -342,7 +341,8 @@ class GeneratorState:
         # pair source's round ends where its target's basic round does,
         # and a target's is shifted as its source's basic table.  The
         # forward half is never walked.
-        _, self._k, self._seq = _locate(start)
+        _, k, self._seq = _locate(start)
+        self._k, self._i0 = k, 1 - k
 
     @property
     def buffer(self) -> bytearray:
@@ -350,9 +350,9 @@ class GeneratorState:
         return self._buf
 
     @property
-    def last_flip(self) -> int | None:
-        """1-based position changed by the most recent step, if any."""
-        return self._last
+    def i(self) -> int:
+        """Visits so far, the start vertex included."""
+        return self._i0 + self._k
 
     @property
     def at_first_vertex(self) -> bool:

@@ -250,6 +250,42 @@ def test_visit_counter_and_last_flip():
         prev = cur
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(middle_words_up_to_500(top=True), st.data())
+def test_the_cursor_reads_its_place_through_round_ends(v, data):
+    # a resumed cursor stepped through three round ends reads its visit
+    # count, the flipped bit and the round starts on every step; a twin
+    # cursor's _passes lists, one per round, mark where the rounds close
+    n = len(v) // 2
+    size = 4 * n + 2
+    steps = 3 * size + data.draw(st.integers(0, size - 1))
+    twin = GeneratorState(n, v)
+    closes, twin_flips = set(), []
+    for part in twin._passes(steps):
+        for p in part:
+            twin.buffer[p] ^= 1
+        twin_flips += part
+        if twin._k + len(part) == size:
+            closes.add(len(twin_flips))
+    assert len(closes) >= 3
+    state = GeneratorState(n, v)
+    assert state.i == 1 and state.last_flip is None
+    prev = int.from_bytes(state.buffer, "big")
+    flips = []
+    for step in range(1, steps + 1):
+        cur = int.from_bytes(next(state), "big")
+        p = state.last_flip
+        assert state.i == 1 + step
+        # '0' ^ '1' is 1, and buffer[p] is byte p of 2n+2, big-endian
+        assert prev ^ cur == 1 << 8 * (2 * n + 1 - p)
+        assert state.at_first_vertex == (step in closes)
+        flips.append(p)
+        prev = cur
+    assert flips == twin_flips
+    with pytest.raises(AttributeError):
+        state.i = 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_round_structure(n):
     # boundaries sit exactly every 4n+2 visits, and the last position
