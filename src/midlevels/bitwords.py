@@ -16,6 +16,7 @@ near-Dyck word if exactly one prefix dips below zero (necessarily to -1).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain
 
 __all__ = [
     "rev_complement",
@@ -32,9 +33,9 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 def rev_complement(x: str) -> str:
     """Reverse the word and complement every bit.  An involution that
-    maps Dyck words to Dyck words and near-Dyck words to near-Dyck words.
-    Nothing in the package calls it; it stays because the benchmark's
-    tracer wraps it by name, until the tracer's list of names drops it.
+    maps Dyck words to Dyck words and near-Dyck words to near-Dyck words,
+    and a path that runs from height h down to 0 without dipping below
+    it to one that climbs from 0 to h without dipping.
     """
     return x.translate(_COMPLEMENT)[::-1]
 
@@ -112,19 +113,26 @@ def dyck_words(n: int) -> Iterator[str]:
     """Yield all Dyck words with n ones in lexicographic order.
 
     Enumeration is exponential in n; intended for desk-scale oracles and
-    the verification suite, not for the generator itself.
+    the verification suite, not for the generator itself.  A word is
+    joined from two halves of length n, out of one table of about
+    C(n, n/2) words built at the call: ends[h] lists, in order, the
+    second halves that run from height h down to 0 without dipping below
+    it.  The first halves that climb from 0 to h without dipping are
+    their reverse complements, so each first half, in order, is joined
+    with every end at its height as the words are read.
     """
     if n < 0:
         raise ValueError("negative length")
-
-    # '0' < '1', so a closing step is tried before an opening one
-    def go(prefix: str, ones: int, height: int) -> Iterator[str]:
-        if len(prefix) == 2 * n:
-            yield prefix
-            return
-        if height > 0:
-            yield from go(prefix + "0", ones, height - 1)
-        if ones < n:
-            yield from go(prefix + "1", ones + 1, height + 1)
-
-    return go("", 0, 0)
+    # ends of length 0, 1, ..., n in turn: an end from height h is '0'
+    # before an end from h - 1, or '1' before one from h + 1, and
+    # '0' < '1' keeps each list in order
+    ends = [[""]]
+    for _ in range(n):
+        ends = [
+            [*map("0".__add__, down), *map("1".__add__, up)]
+            for down, up in zip([[], *ends], [*ends[1:], [], []])
+        ]
+    firsts = sorted(rev_complement(w) for row in ends for w in row)
+    return chain.from_iterable(
+        map(first.__add__, ends[2 * first.count("1") - n]) for first in firsts
+    )

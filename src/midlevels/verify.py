@@ -8,15 +8,16 @@ raises ValueError.  Results come back as CheckResult rows that format
 as "CHECK <name> n=<n> PASS|FAIL <detail>".
 
 Walks are replayed as flip lists on the word's integer value: the
-listing as a stream, each path and six-cycle as its edges, (lower word,
-position).  Cycles are walked a round at a time to count their lengths.
-No vertex is stored as a string.
+listing as a stream, each path and six-cycle as its edges.  An edge is
+one int, p << len(x) | lower: the position p it flips above its lower
+word's value.  Cycles are walked a round at a time to count their
+lengths.  No vertex is stored as a string.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import groupby
+from itertools import chain, groupby, islice
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -126,6 +127,17 @@ def check_listing(n: int, start: str, steps: Iterable[int]) -> list[CheckResult]
     return results
 
 
+def _rounds(state: GeneratorState, steps: int) -> Iterator[list[int]]:
+    """The flip lists of the next steps steps of state's walk, a round at
+    a time, each applied to state.buffer before it is handed out: the
+    next round is built from the vertex this one leads to."""
+    buf = state.buffer
+    for part in state._passes(steps):
+        for p in part:
+            buf[p] ^= 1
+        yield part
+
+
 def _cycle_steps(state: GeneratorState) -> Iterator[int]:
     """The flip positions of the next N - 1 steps of state's walk, one
     fewer than the vertices of a full cycle, N = total_vertices(state.n).
@@ -133,16 +145,10 @@ def _cycle_steps(state: GeneratorState) -> Iterator[int]:
     The state takes one more step, which the stream does not show: once
     the stream is spent, state.buffer holds the vertex that step lands
     on, the start again if the walk is one cycle through every vertex.
+    The steps are read out of the round lists at C level.
     """
-    buf = state.buffer
-    left = total_vertices(state.n) - 1
-    for part in state._passes(left + 1):
-        # the next round is built from the vertex this one leads to, so
-        # the buffer follows the walk before the flips are handed out
-        for p in part:
-            buf[p] ^= 1
-        yield from part[:left]
-        left -= len(part)
+    count = total_vertices(state.n)
+    return islice(chain.from_iterable(_rounds(state, count)), count - 1)
 
 
 def two_factor(n: int, flips_enabled: bool) -> list[int]:
@@ -167,9 +173,7 @@ def two_factor(n: int, flips_enabled: bool) -> list[int]:
         length = 0
         # a cycle is no longer than the vertex set, so the walk returns
         # to z + '0' before the steps run out
-        for part in state._passes(total_vertices(n)):
-            for p in part:
-                buf[p] ^= 1
+        for part in _rounds(state, total_vertices(n)):
             length += len(part)
             # a list ending on top bit 0 lands on a round's first vertex
             if buf[-1] == 48:
@@ -309,32 +313,34 @@ def check_flip_graph(n: int, arcs: list[tuple[str, str]]) -> list[CheckResult]:
     ]
 
 
-def _walk(x: str, flips: Iterable[int]) -> tuple[list[tuple[int, int]], int]:
-    """The edges of the walk from x along flips, each as (lower word,
-    position), and the word it ends on; words as their integer values."""
+def _walk(x: str, flips: Iterable[int]) -> tuple[list[int], int]:
+    """The edges of the walk from x along flips, each as the int
+    p << len(x) | lower for its position p and lower word, and the word
+    it ends on; words as their integer values."""
     size = len(x)
     v = int(x, 2)
     edges = []
     for p in flips:
         m = 1 << (size - p)
-        edges.append((v & ~m, p))
+        edges.append(p << size | v & ~m)
         v ^= m
     return edges, v
 
 
-def _six_cycle(x: str) -> list[tuple[int, int]]:
+def _six_cycle(x: str) -> list[int]:
     # x = 110w0v with position 1 closing at b: flipping b, 2, 3 twice
     # runs once round the six words that agree with x outside 2, 3, b
     b = flip_sequence(x)[0]
     return _walk(x, [b, 2, 3] * 2)[0]
 
 
-def _interleaved(
-    edges: list[tuple[int, int]], c6_of_edge: dict[tuple[int, int], int]
-) -> bool:
+def _interleaved(edges: list[int], c6_of_edge: dict[int, int]) -> bool:
     """Whether the edges two six-cycles borrow from one path interleave:
     read in path order, some six-cycle's edges do not form one run."""
-    marks = (c for c in map(c6_of_edge.get, edges) if c is not None)
+    marks = [c for c in map(c6_of_edge.get, edges) if c is not None]
+    # interleaving takes a run of one six-cycle between two of another
+    if len(marks) < 3:
+        return False
     runs = [c for c, _ in groupby(marks)]
     return len(set(runs)) != len(runs)
 
@@ -354,7 +360,7 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     sources = [x for x in words if x[:3] == "110"]
     cycles = [_six_cycle(x) for x in sources]
     disjoint_ok = True
-    c6_of_edge: dict[tuple[int, int], int] = {}
+    c6_of_edge: dict[int, int] = {}
     for idx, c6 in enumerate(cycles):
         for e in c6:
             if e in c6_of_edge:

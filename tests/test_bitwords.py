@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from itertools import pairwise
+
 import pytest
 
 from midlevels.bitwords import (
@@ -84,12 +87,35 @@ def test_is_dyck_word_edge_cases():
         assert not is_dyck_word(w)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_dyck_words_enumeration(n):
     got = list(dyck_words(n))
     assert got == brute_dyck_words(n)
     assert got == sorted(got)
     assert len(got) == catalan(n)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_dyck_words_count_and_order_beyond_brute_force(n):
+    count = 1
+    for a, b in pairwise(dyck_words(n)):
+        assert a < b and len(b) == 2 * n
+        count += 1
+    assert count == catalan(n)
+
+
+def test_dyck_words_stays_lazy():
+    # the 208,012 words at n = 12 take about 15 MB as a list; the halves
+    # table takes C(12, 6) words of length 12
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in dyck_words(12):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 1 MiB
 
 
 def test_dyck_words_trivial_and_invalid():

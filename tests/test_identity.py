@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from midlevels import verify
 from midlevels.bitwords import dyck_words
 from midlevels.cli import main
 from midlevels.hamcycle import generate
@@ -150,6 +151,10 @@ VERIFY_SHA256 = "4650778edf2313231523732f2da01f359eb83cd4cd24bbf340b6a096d0ad4a9
 # vertex sweeps reach
 VERIFY_MAX_SHA256 = "9c9a31d1ad946e645a4e15563ee1649332d3dbf267e6791170daf723ab4fbcf2"
 
+# sha256 of the rows of run_checks(10), one formatted line each, with
+# the full-sweep cap raised to 10
+VERIFY_N10_SHA256 = "442203c45bf250f04ea56ac3012a2a653b359b3e3ac274bc2a5eced95f9e25a0"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -199,3 +204,9 @@ def test_cli_verify_digest_through_the_cap(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["verify", "--max-n", "9"]) == 0
     assert _sha256(out.getvalue()) == VERIFY_MAX_SHA256
+
+
+def test_check_rows_digest_past_the_cap(monkeypatch):
+    monkeypatch.setattr(verify, "FULL_GRAPH_CAP", 10)
+    text = "".join(format_check(r) + "\n" for r in verify.run_checks(10))
+    assert _sha256(text) == VERIFY_N10_SHA256

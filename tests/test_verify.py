@@ -25,6 +25,7 @@ from midlevels.verify import (
     _cycle_steps,
     _interleaved,
     _six_cycle,
+    _walk,
     CheckResult,
     check_flip_graph,
     check_listing,
@@ -342,10 +343,22 @@ def test_six_cycle_flip_list_runs_round_the_six_words():
     words = ["1" + s2 + s3 + w + sb + v for s2, s3, sb in combos]
     walk = apply_flips(x, [b, 2, 3, b, 2, 3])
     assert walk == words + [x]
-    # each edge is its lower word and the position it flips
+    # each edge is one int: the position it flips above its lower word
     flips = [b, 2, 3] * 2
     lower = [min(int(s, 2), int(t, 2)) for s, t in zip(walk, walk[1:])]
-    assert _six_cycle(x) == list(zip(lower, flips))
+    assert _six_cycle(x) == [p << len(x) | low for low, p in zip(lower, flips)]
+
+
+def test_walk_edges_decode_to_the_replayed_walk():
+    size = 12
+    for x in dyck_words(6):
+        seq = flip_sequence(x)
+        words = apply_flips(x, seq)
+        edges, end = _walk(x, seq)
+        assert end == int(words[-1], 2)
+        decoded = [(e >> size, e & (1 << size) - 1) for e in edges]
+        lower = [min(int(s, 2), int(t, 2)) for s, t in zip(words, words[1:])]
+        assert decoded == list(zip(seq, lower))
 
 
 def test_interleaved_six_cycle_edges_are_flagged():
@@ -355,6 +368,21 @@ def test_interleaved_six_cycle_edges_are_flagged():
     assert not _interleaved(path, {"b": 2, "c": 2, "e": 2})
     assert _interleaved(path, {"a": 0, "c": 1, "e": 0})
     assert _interleaved(path, {"a": 0, "b": 1, "c": 0, "d": 1})
+    assert not _interleaved(path, {"a": 0, "e": 1})
+
+
+def test_six_cycle_memory_stays_small():
+    # at n = 9 each basic walk is dropped after use; the 1,430 six-cycles
+    # and the map of their edges are what stays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = check_six_cycles(9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 2.5 * (1 << 20)  # 2.5 MiB
 
 
 def test_six_cycle_cap():
