@@ -50,7 +50,7 @@ from collections.abc import Callable, Iterator
 from math import comb
 
 from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
-from .trees import flip_tree_by_pattern, is_flip_tree, pair_image, pair_preimage
+from .trees import flip_tree_by_pattern, is_flip_tree
 
 __all__ = [
     "path_first_vertex",
@@ -175,11 +175,11 @@ def _partner(y: str) -> str | None:
     """The other word of y's flip pair, or None.  A pair is a source
     110w0v for which is_flip_tree holds and its image 101w0v."""
     head = y[:3]
-    if head == "110":
-        return pair_image(y) if _flip_tree(y) else None
     if head == "101":
-        x = pair_preimage(y)
+        x = "110" + y[3:]
         return x if _flip_tree(x) else None
+    if head == "110" and _flip_tree(y):
+        return "101" + y[3:]
     return None
 
 

@@ -81,8 +81,8 @@ def _record(x: str) -> _Record:
     top = [-1] * size
     cur = 0
     v = 1
-    for i, c in enumerate(x):
-        if c == "1":
+    for i, c in enumerate(x.encode()):
+        if c == 49:  # '1'
             parent[v] = cur
             opens[v] = i
             cur = v
@@ -140,12 +140,14 @@ def _canonical_rooting(x: str, rec: _Record) -> tuple[int, int, str]:
     is a '1' iff it leads away from c, so only the steps along the path
     from x's root to c change, and each rotation of the relabelled word
     is the word of a rooting at c.  With two centers c and b, the words
-    of (c, b) and (b, c) are compared.  With one, the rotations that
-    start where x leaves c are compared as whole words, and the least
-    one, first on ties, is taken.  Each such word is the sequence of c's
-    branch words, a branch being the run of steps from leaving c to
-    coming back; branch words are balanced, so none is a prefix of
-    another, and whole words order as their branch sequences do.
+    of (c, b) and (b, c) are compared.  With one, the word is the least
+    rotation, first on ties, that starts where x leaves c.  Each such
+    rotation is the sequence of c's branch words, a branch being the run
+    of steps from leaving c to coming back; branch words are balanced,
+    so none is a prefix of another, and rotations order as their branch
+    sequences do.  So the least rotation of the branch sequence is taken,
+    in linear time, and the period is where that sequence first recurs,
+    since a rotation that fixes the word maps c's branches to c's.
     """
     parent, opens, closes = rec[0], rec[1], rec[2]
     cs = _center(rec)
@@ -170,20 +172,36 @@ def _canonical_rooting(x: str, rec: _Record) -> tuple[int, int, str]:
         if s == t:
             return i, m // 2, s
         return (i, m, s) if s < t else (j, m, t)
-    # where x steps from c to each neighbour: its children left to right,
-    # a subtree of k vertices spanning 2k positions, then its parent
-    # unless c is x's root
+    # where x steps from c to each neighbour, and that branch's word:
+    # its children left to right, a subtree of k vertices spanning 2k
+    # positions, then its parent unless c is x's root
     starts = []
+    words = []
     w = c + 1
     size = len(parent)
     while w < size and parent[w] == c:
-        starts.append(opens[w])
-        w += (closes[w] - opens[w] + 1) // 2
+        a, e = opens[w], closes[w] + 1
+        starts.append(a)
+        words.append(s[a:e])
+        w += (e - a) // 2
     if c:
         starts.append(closes[c])
-    ss = s + s
-    a = min(starts, key=lambda a: ss[a : a + m])
-    return a, ss.find(s, 1), ss[a : a + m]
+        words.append(s[closes[c] :] + s[: opens[c] + 1])
+    # two candidates i < j compare from offset k, and a mismatch rules
+    # out the loser's next k + 1 starts (Shiloach 1981)
+    d = len(words)
+    words += words
+    i, j, k = 0, 1, 0
+    while j < d and k < d:
+        u, v = words[i + k], words[j + k]
+        if u == v:
+            k += 1
+        elif u < v:
+            j, k = j + k + 1, 0
+        else:
+            i, j, k = j, max(j, i + k) + 1, 0
+    a = starts[i]
+    return a, starts[j] - a if k == d else m, s[a:] + s[:a]
 
 
 def canonical_root(x: str) -> str:
@@ -228,9 +246,10 @@ def is_flip_tree(x: str) -> bool:
     opens a factor 1100 or 1(10)^k 0 of x.  g is a child only where f
     is the root: in 110010, whose two thin-leaf rotations are one word,
     and in the double brooms 1(10)^k 0 (10)^l, which
-    `flip_tree_by_pattern` settles.  So the test lists x's factors of
-    its form, takes the first at or after the canonical rooting's
-    position, and compares it with x's own position 0 modulo the
+    `flip_tree_by_pattern` settles.  So the test makes one search of x
+    for a factor of its form, from the canonical rooting's position: the
+    chosen rotation is the first found, or x's own at position 0 if the
+    search finds none, and x qualifies iff its position is 0 modulo the
     rotational period.
     """
     # Qualifying words start 1100 (thin-leaf form) or 11010 (broom
@@ -242,23 +261,18 @@ def is_flip_tree(x: str) -> bool:
             raise ValueError("not in tau domain")
         return False
     rec = _record(x)
-    if x[3] == "0":
-        forms = []
-        q = 0
-        while q >= 0:
-            forms.append(q)
-            q = x.find("1100", q + 4)
-    else:
+    if x[3] == "1":
         hit = flip_tree_by_pattern(x)
         if hit is not None:
             return hit
-        forms = [m.start() for m in _BROOM.finditer(x)]
-    if len(forms) == 1:
-        return True  # the one rotation of x's form is x's own
     start, period, _ = _canonical_rooting(x, rec)
-    m = len(x)
-    chosen = min(forms, key=lambda q: (q - start) % m)
-    return chosen % period == 0
+    # the first factor of x's form from start; none found wraps to x's own
+    if x[3] == "0":
+        chosen = x.find("1100", start)
+    else:
+        form = _BROOM.search(x, start)
+        chosen = form.start() if form else -1
+    return chosen <= 0 or chosen % period == 0
 
 
 def flip_tree_by_pattern(x: str) -> bool | None:

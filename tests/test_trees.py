@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from midlevels.bitwords import dyck_words
 from midlevels.trees import (
+    _canonical_rooting,
     _center,
     _record,
     canonical_root,
@@ -20,12 +22,14 @@ from midlevels.verify import _degrees
 
 from helpers import (
     adjacency_canonical_root,
+    adjacency_canonical_rooting,
     adjacency_from_word,
     adjacency_is_flip_tree,
     brute_centers,
     brute_match_table,
     rotate,
     rotation_orbit,
+    tree_with_corners,
 )
 
 # plane trees with n edges, n = 1..8
@@ -126,6 +130,47 @@ def test_canonical_root_is_an_orbit_invariant(n):
 
 def test_canonical_root_of_empty_word():
     assert canonical_root("") == ""
+
+
+def _oracle_rooting(x: str) -> tuple[int, int, str]:
+    corner, period, word = adjacency_canonical_rooting(x, tree_with_corners(x))
+    return corner, period, word.decode()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_canonical_rooting_against_adjacency_oracle(n):
+    # corner, period and word, so the least branch rotation is taken at
+    # the first of its corners on ties
+    for x in dyck_words(n):
+        assert _canonical_rooting(x, _record(x)) == _oracle_rooting(x), x
+
+
+@pytest.mark.parametrize("k", [2, 3, 50, 2000])
+def test_canonical_rooting_of_rotated_high_degree_trees(k):
+    # spiders, with and without one odd leg, and symmetric trees whose
+    # center has k or 2k branches, read from seeded rotations
+    rng = random.Random(k)
+    for x in ["1100" * k, "1100" * k + "10", "11010010" * k, "110100" * k]:
+        for r in [1, 2, 3, *rng.sample(range(len(x)), 3)]:
+            y = _rotation(x, r)
+            assert _canonical_rooting(y, _record(y)) == _oracle_rooting(y)
+
+
+def test_canonical_rooting_is_linear_in_the_center_degree():
+    # the spider ("1100")^k has one center of degree k; comparing every
+    # branch start as a whole word cost about ten times the record at
+    # k = 32,000, the least-rotation scan about half of it
+    x = "1100" * 32000
+    rec = _record(x)
+    rooting, record = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        _canonical_rooting(x, rec)
+        t1 = time.perf_counter()
+        _record(x)
+        rooting.append(t1 - t0)
+        record.append(time.perf_counter() - t1)
+    assert min(rooting) <= 2 * min(record)
 
 
 def test_pair_maps():
@@ -254,6 +299,22 @@ def _rotate_linear(x: str) -> str:
     raise ValueError("not a Dyck word")
 
 
+def _rotation(x: str, r: int) -> str:
+    # the r-th rotation of x in one scan: x relabelled as seen from the
+    # vertex that step r leaves, which flips the edges open across r,
+    # read from step r
+    lab = list(x)
+    opened = []
+    for i, c in enumerate(x):
+        if c == "1":
+            opened.append(i)
+        else:
+            j = opened.pop()
+            if j < r <= i:
+                lab[j], lab[i] = "0", "1"
+    return "".join(lab[r:] + lab[:r])
+
+
 @st.composite
 def trees_up_to_500(draw) -> str:
     """Dyck words with up to 500 ones, most of them pair sources: the
@@ -280,6 +341,20 @@ def trees_up_to_500(draw) -> str:
             x = _rotate_linear(x)
         return x
     return _random_dyck(rng, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(trees_up_to_500())
+def test_one_flip_tree_per_non_star_orbit_up_to_500(x):
+    # the cycle-joining lemma: each rotation orbit of a non-star tree has
+    # exactly one word for which is_flip_tree holds, a star none
+    orbit = [x]
+    y = _rotate_linear(x)
+    while y != x:
+        orbit.append(y)
+        y = _rotate_linear(y)
+    hits = [w for w in orbit if w.startswith("110") and is_flip_tree(w)]
+    assert len(hits) == (0 if _is_star(adjacency_from_word(x)) else 1)
 
 
 @settings(derandomize=True, deadline=None)
