@@ -5,12 +5,13 @@ step flips one bit.  The walk is organized in rounds of 4n+2 visits.  A
 round from a Dyck word x = 1u0v with top bit 0 walks a path forward to
 u01v, flips the top bit up, walks the mirror of the basic path from
 1 rc(v) 0 rc(u) back to u1v0 (rc the reverse complement) and flips the
-top bit down.  The round is one flip list: with P the pair rule of
-`flipseq.flip_sequence`,
+top bit down.  The round is one flip list,
 
     [b, 1] + P(u) + [2n+1, b] + P(v) + [b-1, 2n+1]
 
-for b the position of the 0 closing x's first run.  It lists each
+for b the position of the 0 closing x's first run, where P lists one
+pair per position p, in order: (q, p) if p opens a run closing at q,
+and (q - 1, p) if p closes one opened at q.  It lists each
 position p = 1, ..., 2n+1 in order, after p's entry; v is read as the
 inside of a virtual run (b, 2n+1).  The next round starts at the
 rotation u1v0, so its list is this one shifted left by one entry pair,
@@ -25,7 +26,11 @@ scans a word.  Round starts are the only points where any O(n)
 bookkeeping happens, so the amortized cost per visit is constant and
 the working set stays O(n).  The package's own drivers take the walk a
 round at a time, as flip lists to apply to the buffer; the public
-cursor steps one vertex per call, at the cost of one flip.
+cursor steps one vertex per call, at the cost of one flip.  Every path
+that `flipseq`, `forward_sequence` and `verify` hand out is the forward
+half of such a table, cut before the top bit's flip, so the flip rules
+are stated only here: the basic rule in _locate's scan and the round
+start's shift, the pair rules in _pair_round and the resume's patches.
 
 A round start asks whether x is a word of a flip pair, whose forward
 half follows the modified pair rules.  The flip-tree test on the pair
@@ -49,7 +54,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from math import comb
 
-from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
 from .trees import flip_tree_by_pattern, is_flip_tree
 
 __all__ = [
@@ -186,16 +190,29 @@ def _partner(y: str) -> str | None:
 def forward_sequence(x: str, flips: bool = True) -> list[int]:
     """Flip sequence of the forward half from first vertex x.
 
-    With flips enabled, the words of a pair get the modified pair rules;
-    everything else walks the basic sequence.  The generator does not
-    call this: it builds its rounds as tables, a pair round by patching
-    its word's table (_pair_round).
+    It is read off the round the walk runs from x: with flips enabled, a
+    pair word's table patched into its pair round, else the basic table.
+    The generator does not call this: it walks whole round tables.
     """
+    seq = _basic_table(x)
     if flips and _partner(x) is not None:
-        if x[1] == "1":
-            return pair_source_sequence(x)
-        return pair_target_sequence(x)
-    return flip_sequence(x)
+        _pair_round(seq, x[1] == "1")
+    return _forward_half(seq)
+
+
+def _basic_table(z: str) -> list[int]:
+    """The basic round table of the Dyck word z, from z's own scan.
+    Raises ValueError unless z is a Dyck word, the one word that _locate
+    puts at index 0 of its table."""
+    _, k, seq = _locate(z + "0")
+    if k:
+        raise ValueError("not a Dyck word")
+    return seq
+
+
+def _forward_half(seq: list[int]) -> list[int]:
+    """The flips of a round table before its top bit's, the entry 2n+1."""
+    return seq[: seq.index(len(seq) // 2)]
 
 
 def _pair_round(seq: list[int], source: bool) -> None:

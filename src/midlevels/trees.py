@@ -41,7 +41,6 @@ from .bitwords import is_dyck_word
 __all__ = [
     "canonical_root",
     "pair_image",
-    "pair_preimage",
     "is_flip_tree",
     "flip_tree_by_pattern",
 ]
@@ -220,13 +219,6 @@ def pair_image(x: str) -> str:
     if x[:3] != "110":
         raise ValueError("not in tau domain")
     return "101" + x[3:]
-
-
-def pair_preimage(y: str) -> str:
-    """Map the pair target 101w0v back to its source 110w0v."""
-    if y[:3] != "101":
-        raise ValueError("not in tau image")
-    return "110" + y[3:]
 
 
 def is_flip_tree(x: str) -> bool:

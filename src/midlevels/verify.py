@@ -22,8 +22,15 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .bitwords import dyck_words
-from .flipseq import flip_sequence, pair_source_sequence, pair_target_sequence
-from .hamcycle import GeneratorState, _flip_tree, default_start, total_vertices
+from .hamcycle import (
+    GeneratorState,
+    _basic_table,
+    _flip_tree,
+    _forward_half,
+    _pair_round,
+    default_start,
+    total_vertices,
+)
 from .trees import _record, canonical_root, pair_image
 
 __all__ = [
@@ -327,10 +334,11 @@ def _walk(x: str, flips: Iterable[int]) -> tuple[list[int], int]:
     return edges, v
 
 
-def _six_cycle(x: str) -> list[int]:
-    # x = 110w0v with position 1 closing at b: flipping b, 2, 3 twice
-    # runs once round the six words that agree with x outside 2, 3, b
-    b = flip_sequence(x)[0]
+def _six_cycle(x: str, table: list[int]) -> list[int]:
+    # x = 110w0v with position 1 closing at b, the entry of 1 in x's
+    # table: flipping b, 2, 3 twice runs once round the six words that
+    # agree with x outside 2, 3, b
+    b = table[0]
     return _walk(x, [b, 2, 3] * 2)[0]
 
 
@@ -352,13 +360,15 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     same ground with endpoints exchanged, and their edge sets differ
     from the basic ones by exactly that pair's six-cycle.  Across pairs
     the six-cycles are edge-disjoint, and on any one basic path the
-    edges borrowed by different six-cycles never interleave.
+    edges borrowed by different six-cycles never interleave.  Every path
+    is read off the round table the walk runs, one table per Dyck word,
+    so the rows check the generator's own pair rounds.
     """
     if not 1 <= n <= FULL_GRAPH_CAP:
         raise ValueError("desk-scale only")
     words = list(dyck_words(n))
-    sources = [x for x in words if x[:3] == "110"]
-    cycles = [_six_cycle(x) for x in sources]
+    sources = [(x, _basic_table(x)) for x in words if x[:3] == "110"]
+    cycles = [_six_cycle(x, table) for x, table in sources]
     disjoint_ok = True
     c6_of_edge: dict[int, int] = {}
     for idx, c6 in enumerate(cycles):
@@ -367,16 +377,21 @@ def check_six_cycles(n: int) -> list[CheckResult]:
                 disjoint_ok = False
             c6_of_edge[e] = idx
 
-    # each basic walk is built once and dropped after use: the pairs'
+    # a pair word's basic path is the forward half of its table, and its
+    # modified path the forward half once _pair_round has patched that
+    # table.  Each walk is built once and dropped after use: the pairs'
     # walks in this loop, every other Dyck word's in the next; keeping
     # them all for a separate nesting loop costs a third more memory
     endpoints_ok = symdiff_ok = nesting_ok = True
-    for x, c6 in zip(sources, cycles):
+    for (x, table_x), c6 in zip(sources, cycles):
         y = pair_image(x)
-        edges_x, end_x = _walk(x, flip_sequence(x))
-        edges_y, end_y = _walk(y, flip_sequence(y))
-        mod_x, mod_end_x = _walk(x, pair_source_sequence(x))
-        mod_y, mod_end_y = _walk(y, pair_target_sequence(y))
+        table_y = _basic_table(y)
+        edges_x, end_x = _walk(x, _forward_half(table_x))
+        edges_y, end_y = _walk(y, _forward_half(table_y))
+        _pair_round(table_x, True)
+        _pair_round(table_y, False)
+        mod_x, mod_end_x = _walk(x, _forward_half(table_x))
+        mod_y, mod_end_y = _walk(y, _forward_half(table_y))
         if mod_end_x != end_y or mod_end_y != end_x:
             endpoints_ok = False
         if {*edges_x, *edges_y} ^ {*c6} != {*mod_x, *mod_y}:
@@ -385,7 +400,7 @@ def check_six_cycles(n: int) -> list[CheckResult]:
             nesting_ok = False
     for z in words:
         if z[:3] not in ("110", "101"):
-            if _interleaved(_walk(z, flip_sequence(z))[0], c6_of_edge):
+            if _interleaved(_walk(z, _forward_half(_basic_table(z)))[0], c6_of_edge):
                 nesting_ok = False
 
     return [

@@ -112,6 +112,21 @@ def full_table_flip_sequence(x: str, start: int = 1) -> list[int]:
     return [b, start] + nested(start + 1, b - 1)
 
 
+def forward_pass_by_rules(x: str, flips: bool) -> list[int]:
+    """Flip list of the forward pass from the Dyck word x, the rules
+    written out on the quadratic match table.  With flips on, the words
+    of a pair take the pair rules: the source 110w0v, a flip tree by
+    adjacency_is_flip_tree, walks [3, 1], and its target 101w0v walks
+    [b, 1, 2, 3, 1, 2] and then w as the run opening at 3 reads it, b
+    that run's close.  Every other word walks the basic rule."""
+    if flips and x[:3] in ("110", "101") and adjacency_is_flip_tree("110" + x[3:]):
+        if x[1] == "1":
+            return [3, 1]
+        run = full_table_flip_sequence(x, 3)
+        return [run[0], 1, 2, 3, 1, 2] + run[2:]
+    return full_table_flip_sequence(x)
+
+
 def apply_flips(x: str, seq: list[int]) -> list[str]:
     """Full vertex listing of the walk: x, then one word per flip."""
     words = [x]

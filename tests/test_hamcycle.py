@@ -6,13 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from midlevels import flipseq, hamcycle
+from midlevels import hamcycle
 from midlevels.bitwords import decompose_near_dyck, dyck_words, is_dyck_word
-from midlevels.flipseq import (
-    flip_sequence,
-    pair_source_sequence,
-    pair_target_sequence,
-)
+from midlevels.flipseq import flip_sequence
 from midlevels.hamcycle import (
     GeneratorState,
     default_start,
@@ -29,6 +25,8 @@ from helpers import (
     all_words,
     apply_flips,
     backward_pass_by_decomposition,
+    forward_pass_by_rules,
+    full_table_flip_sequence,
     hamming,
     is_rotation,
     middle_words,
@@ -54,7 +52,7 @@ def _walk_names_its_start(x: str) -> set[str]:
     cur = list(x)
     seen = {x}
     assert path_first_vertex(x) == (x, 0)
-    for t, p in enumerate(flip_sequence(x), start=1):
+    for t, p in enumerate(full_table_flip_sequence(x), start=1):
         cur[p - 1] = "0" if cur[p - 1] == "1" else "1"
         z = "".join(cur)
         assert path_first_vertex(z) == (x, t)
@@ -147,12 +145,16 @@ def test_path_first_vertex_rejects_bad_words():
 
 def test_forward_sequence_selects_the_modified_rules():
     # 110010 carries the one flip of its orbit, 101010 is its partner
-    assert forward_sequence("110010") == pair_source_sequence("110010")
-    assert forward_sequence("101010") == pair_target_sequence("101010")
-    assert forward_sequence("111000") == flip_sequence("111000")
+    assert forward_sequence("110010") == [3, 1]
+    assert forward_sequence("101010") == [4, 1, 2, 3, 1, 2]
+    assert forward_sequence("111000") == [6, 1, 5, 2, 4, 3, 2, 4, 1, 5]
     # disabling flips always walks the basic sequence
-    assert forward_sequence("110010", flips=False) == flip_sequence("110010")
-    assert forward_sequence("101010", flips=False) == flip_sequence("101010")
+    assert forward_sequence("110010", flips=False) == [4, 1, 3, 2, 1, 3]
+    assert forward_sequence("101010", flips=False) == [2, 1]
+    for n in range(1, 8):
+        for x in dyck_words(n):
+            for flips in (False, True):
+                assert forward_sequence(x, flips) == forward_pass_by_rules(x, flips)
 
 
 def test_state_validates_input():
@@ -315,14 +317,13 @@ def test_full_listing_is_a_single_cycle(n):
 
 
 def _spy_on_scans(monkeypatch) -> list[int]:
-    # one entry per call of the functions that scan a word: _locate, the
-    # resume's scan, and flipseq's _run, which builds flipseq's lists
+    # one entry per call of _locate, the one function that scans a word:
+    # the resume's scan, which also builds every list flipseq hands out
     scans: list[int] = []
-    for module, name in ((hamcycle, "_locate"), (flipseq, "_run")):
-        scan = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *args, scan=scan: scans.append(1) or scan(*args)
-        )
+    scan = hamcycle._locate
+    monkeypatch.setattr(
+        hamcycle, "_locate", lambda start: scans.append(1) or scan(start)
+    )
     return scans
 
 
@@ -403,7 +404,7 @@ def test_resume_on_the_pair_partner_walk(n):
 def _round_oracle(x: str, flips: bool) -> list[int]:
     # the forward pass, the top bit up, and the backward pass from the
     # near-Dyck word the forward pass reaches
-    forward = forward_sequence(x, flips)
+    forward = forward_pass_by_rules(x, flips)
     y = apply_flips(x, forward)[-1]
     return forward + [len(x) + 1] + backward_pass_by_decomposition(y)
 

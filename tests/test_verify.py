@@ -13,7 +13,12 @@ from midlevels import hamcycle, trees, verify
 from midlevels.bitwords import dyck_words
 from midlevels.cli import main
 from midlevels.flipseq import flip_sequence
-from midlevels.hamcycle import GeneratorState, default_start, total_vertices
+from midlevels.hamcycle import (
+    GeneratorState,
+    _basic_table,
+    default_start,
+    total_vertices,
+)
 from midlevels.trees import (
     canonical_root,
     flip_tree_by_pattern,
@@ -324,9 +329,17 @@ def test_six_cycle_checks(n):
 
 
 def test_six_cycle_rows_fail_on_a_wrong_target_rule(monkeypatch):
-    # the target walking its basic path keeps both endpoints and borrows
-    # no six-cycle
-    monkeypatch.setattr(verify, "pair_target_sequence", flip_sequence)
+    # the rows read the pair rounds that _pair_round patches for the walk;
+    # a target that keeps its basic table walks its basic path, keeps
+    # both endpoints and borrows no six-cycle
+    pair_round = hamcycle._pair_round
+
+    def basic_target(seq: list[int], source: bool) -> None:
+        if source:
+            pair_round(seq, source)
+
+    for module in (hamcycle, verify):
+        monkeypatch.setattr(module, "_pair_round", basic_target)
     for n in range(2, 6):
         failing = _failing(check_six_cycles(n))
         assert {"six-cycle-endpoints", "six-cycle-symdiff"} <= failing.keys()
@@ -335,7 +348,8 @@ def test_six_cycle_rows_fail_on_a_wrong_target_rule(monkeypatch):
 def test_six_cycle_flip_list_runs_round_the_six_words():
     # x = 110w0v with w = 10, v = 1010 and position 1 closing at b = 6
     x = "1101001010"
-    b = flip_sequence(x)[0]
+    table = _basic_table(x)
+    b = table[0]
     assert b == 6
     w, v = x[3 : b - 1], x[b:]
     combos = [("1", "0", "0"), ("1", "0", "1"), ("0", "0", "1"),
@@ -346,7 +360,7 @@ def test_six_cycle_flip_list_runs_round_the_six_words():
     # each edge is one int: the position it flips above its lower word
     flips = [b, 2, 3] * 2
     lower = [min(int(s, 2), int(t, 2)) for s, t in zip(walk, walk[1:])]
-    assert _six_cycle(x) == [p << len(x) | low for low, p in zip(lower, flips)]
+    assert _six_cycle(x, table) == [p << len(x) | low for low, p in zip(lower, flips)]
 
 
 def test_walk_edges_decode_to_the_replayed_walk():
