@@ -33,10 +33,11 @@ are stated only here: the basic rule in _locate's scan and the round
 start's shift, the pair rules in _pair_round and the resume's patches.
 
 A round start asks whether x is a word of a flip pair, whose forward
-half follows the modified pair rules.  The flip-tree test on the pair
-source is read off byte patterns of the word
-(`trees.flip_tree_by_pattern`), and `is_flip_tree` builds a tree record
-only where the patterns leave it open.
+half follows the modified pair rules.  `_partner` is that one pair
+test, for the walk, a resume, `forward_sequence` and `verify`'s flip
+graph: it reads the pair source off x's head and asks the byte
+patterns of `trees.flip_tree_by_pattern` first, and `is_flip_tree`,
+which builds a tree record, only where they leave the source open.
 
 `GeneratorState` can start at any vertex.  One bracket scan of the
 start, for either top bit, gives the first vertex x of the round whose
@@ -165,26 +166,18 @@ def _locate(start: str) -> tuple[str, int, list[int]]:
     return x, 2 * d - heavy, seq
 
 
-def _flip_tree(x: str) -> bool:
-    """is_flip_tree(x) for a pair source the walk or `verify.flip_graph`
-    built: byte patterns first, the tree only where they leave it open.
-    The word needs no validation, and the check that is_flip_tree makes
-    costs nothing extra: it is part of the one pass that builds the
-    tree."""
-    hit = flip_tree_by_pattern(x)
-    return is_flip_tree(x) if hit is None else hit
-
-
-def _partner(y: str) -> str | None:
-    """The other word of y's flip pair, or None.  A pair is a source
-    110w0v for which is_flip_tree holds and its image 101w0v."""
+def _partner(y: str) -> bool:
+    """Whether y is a word of a flip pair: a source 110w0v for which
+    is_flip_tree holds, or its image 101w0v.  y must be a Dyck word.
+    The source is tested by byte patterns first and by is_flip_tree only
+    where they leave it open."""
     head = y[:3]
     if head == "101":
-        x = "110" + y[3:]
-        return x if _flip_tree(x) else None
-    if head == "110" and _flip_tree(y):
-        return "101" + y[3:]
-    return None
+        y = "110" + y[3:]  # its source
+    elif head != "110":
+        return False
+    hit = flip_tree_by_pattern(y)
+    return is_flip_tree(y) if hit is None else hit
 
 
 def forward_sequence(x: str, flips: bool = True) -> list[int]:
@@ -195,7 +188,7 @@ def forward_sequence(x: str, flips: bool = True) -> list[int]:
     The generator does not call this: it walks whole round tables.
     """
     seq = _basic_table(x)
-    if flips and _partner(x) is not None:
+    if flips and _partner(x):
         _pair_round(seq, x[1] == "1")
     return _forward_half(seq)
 
@@ -279,7 +272,7 @@ class GeneratorState:
             self._start_backward(start)
             return
         y, t, seq = _locate(start)
-        if flips and _partner(y) is not None:
+        if flips and _partner(y):
             if not t:
                 _pair_round(seq, y[1] == "1")
             elif y[1] == "1":

@@ -19,11 +19,12 @@ answers the same question for most pair sources from byte patterns in
 the word alone, with no tree: a factor 1100 is a leaf whose neighbour
 has degree two, a factor 1(10)^k 0 a vertex whose children are all
 leaves.  The rotations of x's form are such factors of x, so
-`is_flip_tree` reads them off the word and builds the tree only to
-find the canonical rooting.  It takes its broom-form verdicts from the
-patterns, so each pattern is stated once.  The generator and the flip
-graph ask the patterns first and build a tree only for the words they
-leave open.
+`is_flip_tree` reads them off the word and needs the tree only to
+find the canonical rooting.  It takes every pattern verdict from
+`flip_tree_by_pattern`, the losing prefixes included, so each pattern
+is stated once.  The generator and the flip graph ask the patterns
+first, in `hamcycle._partner`, and call `is_flip_tree` only for the
+words they leave open.
 
 Reading x walks the tree's Euler tour: position i of x (0-based) is one
 step along a directed edge (u, w), and the i-th rotation of x is the
@@ -35,8 +36,6 @@ tree's rotational period, the least p > 0 whose p-th rotation is x.
 from __future__ import annotations
 
 import re
-
-from .bitwords import is_dyck_word
 
 __all__ = [
     "canonical_root",
@@ -238,25 +237,18 @@ def is_flip_tree(x: str) -> bool:
     opens a factor 1100 or 1(10)^k 0 of x.  g is a child only where f
     is the root: in 110010, whose two thin-leaf rotations are one word,
     and in the double brooms 1(10)^k 0 (10)^l, which
-    `flip_tree_by_pattern` settles.  So the test makes one search of x
-    for a factor of its form, from the canonical rooting's position: the
-    chosen rotation is the first found, or x's own at position 0 if the
-    search finds none, and x qualifies iff its position is 0 modulo the
-    rotational period.
+    `flip_tree_by_pattern` settles, as it settles most words.  Where it
+    leaves x open, the test makes one search of x for a factor of its
+    form, from the canonical rooting's position: the chosen rotation is
+    the first found, or x's own at position 0 if the search finds none,
+    and x qualifies iff its position is 0 modulo the rotational period.
     """
-    # Qualifying words start 1100 (thin-leaf form) or 11010 (broom
-    # form); any other prefix loses without building a tree.
-    if x[:3] != "110" or x[3:5] == "11" or x == "1100":
-        if not is_dyck_word(x):
-            raise ValueError("not a Dyck word")
-        if x[:3] != "110":
-            raise ValueError("not in tau domain")
-        return False
     rec = _record(x)
-    if x[3] == "1":
-        hit = flip_tree_by_pattern(x)
-        if hit is not None:
-            return hit
+    if x[:3] != "110":
+        raise ValueError("not in tau domain")
+    hit = flip_tree_by_pattern(x)
+    if hit is not None:
+        return hit
     start, period, _ = _canonical_rooting(x, rec)
     # the first factor of x's form from start; none found wraps to x's own
     if x[3] == "0":

@@ -25,9 +25,9 @@ from .bitwords import dyck_words
 from .hamcycle import (
     GeneratorState,
     _basic_table,
-    _flip_tree,
     _forward_half,
     _pair_round,
+    _partner,
     default_start,
     total_vertices,
 )
@@ -214,8 +214,8 @@ def flip_graph(n: int) -> list[tuple[str, str]]:
 
     Flip trees are pair sources 110w0v, and the Dyck words with prefix
     110 are "110" + d[1:] for the C_{n-1} Dyck words d with n - 1 ones,
-    so only those are tested, each as the walk tests it: byte patterns
-    first, a tree only where they leave it open.
+    so only those are tested, each by the walk's pair test `_partner`:
+    byte patterns first, a tree only where they leave it open.
     """
     if not 1 <= n <= TREE_GRAPH_CAP:
         raise ValueError("desk-scale only")
@@ -224,7 +224,7 @@ def flip_graph(n: int) -> list[tuple[str, str]]:
     return sorted(
         (canonical_root(x), canonical_root(pair_image(x)))
         for x in ("110" + d[1:] for d in dyck_words(n - 1))
-        if _flip_tree(x)
+        if _partner(x)
     )
 
 

@@ -343,7 +343,8 @@ def test_gen_into_early_closed_pipe_exits_cleanly(argv, first_line):
 _LOADED = """
 import sys
 {}
-print([m for m in ("midlevels.verify", "dataclasses", "inspect") if m in sys.modules])
+mods = ("midlevels.verify", "midlevels.bitwords", "dataclasses", "inspect")
+print([m for m in mods if m in sys.modules])
 """
 
 
@@ -356,12 +357,17 @@ print([m for m in ("midlevels.verify", "dataclasses", "inspect") if m in sys.mod
             "[]",
             id="gen",
         ),
-        pytest.param("import midlevels.verify", "['midlevels.verify']", id="verify"),
+        pytest.param(
+            "import midlevels.verify",
+            "['midlevels.verify', 'midlevels.bitwords']",
+            id="verify",
+        ),
     ],
 )
 def test_gen_does_not_load_the_check_suite(code, loaded):
     # each child compiles and runs what it imports, so `gen` starts
-    # faster without verify, and verify without dataclasses and inspect
+    # faster without verify and bitwords, and verify without dataclasses
+    # and inspect
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED.format(code)],
         capture_output=True,

@@ -22,6 +22,7 @@ from midlevels.hamcycle import (
 from midlevels.trees import pair_image
 
 from helpers import (
+    adjacency_is_flip_tree,
     all_words,
     apply_flips,
     backward_pass_by_decomposition,
@@ -205,7 +206,7 @@ def test_one_cycle_at_n5_builds_a_tree_for_six_pair_tests(monkeypatch):
     tested: list[str] = []
     built: list[str] = []
 
-    def counted_partner(y: str) -> str | None:
+    def counted_partner(y: str) -> bool:
         tested.append(y)
         return partner(y)
 
@@ -507,9 +508,20 @@ def _patched_round(x: str) -> list[int]:
     return seq
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_test_against_the_adjacency_oracle(n):
+    # _partner is the one pair test: a source 110w0v that is a flip
+    # tree, or its image 101w0v
+    for y in dyck_words(n):
+        got = hamcycle._partner(y)
+        assert type(got) is bool, y
+        pair = y[:3] in ("110", "101") and adjacency_is_flip_tree("110" + y[3:])
+        assert got is pair, y
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_pair_rounds_patch_the_basic_table(n):
-    pairs = [x for x in dyck_words(n) if hamcycle._partner(x) is not None]
+    pairs = [x for x in dyck_words(n) if hamcycle._partner(x)]
     assert pairs
     for x in pairs:
         assert _patched_round(x) == _round_oracle(x, True)
@@ -519,7 +531,7 @@ def test_pair_rounds_patch_the_basic_table(n):
 @given(round_starts_up_to_500())
 def test_large_pair_rounds_patch_the_basic_table(start):
     _, x, _ = start
-    assume(hamcycle._partner(x) is not None)
+    assume(hamcycle._partner(x))
     assert _patched_round(x) == _round_oracle(x, True)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midlevels.bitwords import dyck_words
+from midlevels.bitwords import dyck_words, is_dyck_word
 from midlevels.trees import (
     _canonical_rooting,
     _center,
@@ -24,6 +24,7 @@ from helpers import (
     adjacency_canonical_rooting,
     adjacency_from_word,
     adjacency_is_flip_tree,
+    all_words,
     brute_centers,
     brute_match_table,
     rotate,
@@ -201,9 +202,21 @@ def test_is_flip_tree_examples():
     "bad", ["110110", "110a", "11011", "1101100001", "110", "1101"]
 )
 def test_is_flip_tree_rejects_non_dyck(bad):
-    # checked before the prefix shortcuts, which would answer False
+    # the record checks the word before the patterns, which would answer False
     with pytest.raises(ValueError):
         is_flip_tree(bad)
+
+
+def test_is_flip_tree_raises_iff_not_a_pair_source():
+    # the record is its one Dyck check, then the prefix 110; every word
+    # that passes both gets the oracle's verdict
+    for length in range(13):
+        for x in all_words(length):
+            if is_dyck_word(x) and x[:3] == "110":
+                assert is_flip_tree(x) is adjacency_is_flip_tree(x), x
+            else:
+                with pytest.raises(ValueError):
+                    is_flip_tree(x)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
