@@ -14,7 +14,13 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import TextIO
 
-from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
+from .hamcycle import (
+    GeneratorState,
+    _round_end,
+    default_start,
+    ham_cycle,
+    total_vertices,
+)
 
 # Bytes per `gen` write, in either format, but at least one line: the
 # memory stays O(n) however long a round is, and short lines take few
@@ -98,6 +104,7 @@ def _text_chunks(
     count: int,
     emit: Callable[[bytearray, list[int]], None],
     width: int,
+    land: Callable[[list[int]], None] | None = None,
 ) -> Iterator[str]:
     """The state's vertex, the lines emit appends for the flips of the
     next count - 1 steps, and the last line's newline, as text chunks.
@@ -106,7 +113,11 @@ def _text_chunks(
     takes at most width bytes.  The lines gather in one chunk across the
     ends of the state's flip lists, and a chunk ends once it has no room
     for another line within _CHUNK_BYTES; it takes at least one line.
-    The first chunk ends with the first list at the latest.
+    The first chunk ends with the first list at the latest.  emit may
+    get one list in several pieces; the state's buffer must reach the
+    vertex a list leads to before the next list is asked for, either by
+    emit, piece by piece, or by land, called once with each list after
+    its last piece.
     """
     limit = _CHUNK_BYTES
     chunk = bytearray(state.vertex(), "ascii")
@@ -122,6 +133,8 @@ def _text_chunks(
                 yield chunk.decode()
                 chunk = bytearray()
         emit(chunk, part[i:] if i else part)
+        if land:
+            land(part)
         if first or len(chunk) + width > limit:
             yield chunk.decode()
             chunk = bytearray()
@@ -144,6 +157,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     buf = state.buffer
+    land = None
     if args.format == "bits":
         # The generator never reads the buffer's sentinel byte, so as
         # "\n" it ends the previous line: after each flip the buffer is
@@ -159,16 +173,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         line = [b"\n%d" % p for p in range(len(buf))]
         width = len(line[-1])
+        whole = 2 * len(buf) - 2  # the 4n+2 flips of a round
 
         def emit(chunk: bytearray, flips: list[int]) -> None:
-            # the buffer still follows the walk, because a round start
-            # reads the vertex it starts at
-            for p in flips:
-                buf[p] ^= 1
             chunk += b"".join(map(line.__getitem__, flips))
 
+        def land(flips: list[int]) -> None:
+            # a round start reads the vertex it starts at: a whole round
+            # lands on its end from its table, and only a list cut at the
+            # cursor or at the count is walked flip by flip
+            if len(flips) == whole:
+                _round_end(buf, flips)
+            else:
+                for p in flips:
+                    buf[p] ^= 1
+
     with _piped_stdout() as out:
-        chunks = _text_chunks(state, count, emit, width)
+        chunks = _text_chunks(state, count, emit, width, land)
         # flushed at once, so that a reader gets the first line without
         # waiting for a full chunk
         out.write(next(chunks))

@@ -24,8 +24,21 @@ basic round ends on the same vertex.  A resume installs a whole round
 table too, so every round start is a shift and only the constructor
 scans a word.  Round starts are the only points where any O(n)
 bookkeeping happens, so the amortized cost per visit is constant and
-the working set stays O(n).  The package's own drivers take the walk a
-round at a time, as flip lists to apply to the buffer; the public
+the working set stays O(n).
+
+So the round from x ends on sigma(x) = rot(pi(x)), for rot(1u0v) = u1v0
+and pi the swap of a pair source 110w0v with its target 101w0v, and
+_round_end lands there from the table's first entry b alone, in three
+byte moves: drop x's first bit, set the bit at b - 1 and put a 0
+before the top bit.  A pair source's b is 3, and the moves give 11w0v0,
+its target's rotation.  A pair target's b closes the run at 3, where
+a basic 101 word's is 2; its bits 2 and 3 are swapped to its source
+110w0v first, which then rotates with that b.  Any other x rotates
+with its own b.
+
+The package's own drivers take the walk a round at a time, as flip
+lists to apply to the buffer, or, where no vertex inside a whole round
+is shown, to land the buffer on its end by _round_end; the public
 cursor steps one vertex per call, at the cost of one flip.  Every path
 that `flipseq`, `forward_sequence` and `verify` hand out is the forward
 half of such a table, cut before the top bit's flip, so the flip rules
@@ -229,6 +242,23 @@ def _pair_round(seq: list[int], source: bool) -> None:
         seq[2 * b - 2], seq[-2] = top, b - 1
 
 
+def _round_end(buf: bytearray, seq: list[int]) -> None:
+    """Move buf from a round's first vertex to the vertex the round ends
+    on, the next round's first vertex, by the round-end rule of the
+    module docstring, without walking the round's flips.
+
+    buf holds the Dyck word x behind a sentinel byte and before the top
+    bit 0; seq is the round's whole table, which is read, not changed.
+    """
+    b = seq[0]
+    if buf[2] == 48 and b != 2:  # a pair target: x starts 10, b > 2
+        buf[2], buf[3] = 49, 48
+    # 1u0v to u1v0, the top bit 0 kept
+    del buf[1]
+    buf[b - 1] = 49
+    buf.insert(-1, 48)
+
+
 class GeneratorState:
     """Resumable cursor into the cyclic listing for one n.
 
@@ -308,10 +338,11 @@ class GeneratorState:
 
         The first list runs from the cursor to the end of its round, each
         later one is a whole round, and the last is cut where the steps
-        end.  The consumer applies each list to the buffer before asking
-        for the next one, because the next round is built from the vertex
-        the list leads to, and must not mutate it, because the next round
-        is derived from it.  Only the round starts it crosses move the
+        end.  The consumer applies each list to the buffer, or lands the
+        buffer on a whole round's end with _round_end, before asking for
+        the next one, because the next round is built from the vertex the
+        list leads to, and must not mutate it, because the next round is
+        derived from it.  Only the round starts it crosses move the
         cursor, and i and last_flip do not follow: at_first_vertex reads
         the last round start crossed, or the cursor's place if none was.
         A driver that takes the walk this way does not also step the state.

@@ -4,8 +4,9 @@ Everything here enumerates whole vertex sets or Dyck word families, so
 it is exponential in n by design.  Two fixed caps bound the sweeps:
 vertex sets up to n = FULL_GRAPH_CAP, the flip graph's pair sources up
 to n = TREE_GRAPH_CAP (plane trees are counted, never listed); larger n
-raises ValueError.  Results come back as CheckResult rows that format
-as "CHECK <name> n=<n> PASS|FAIL <detail>".
+raises ValueError.  check_round_orbit visits only the C_n round starts
+in O(n) memory and takes no cap.  Results come back as CheckResult rows
+that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
 
 Walks are replayed as flip lists on the word's integer value: the
 listing as a stream, each path and six-cycle as its edges.  An edge is
@@ -28,6 +29,7 @@ from .hamcycle import (
     _forward_half,
     _pair_round,
     _partner,
+    _round_end,
     default_start,
     total_vertices,
 )
@@ -46,6 +48,8 @@ __all__ = [
     "tree_signature",
     "check_flip_graph",
     "check_six_cycles",
+    "round_orbit",
+    "check_round_orbit",
     "run_checks",
     "run_suite",
 ]
@@ -409,6 +413,47 @@ def check_six_cycles(n: int) -> list[CheckResult]:
         CheckResult("six-cycle-disjoint", n, disjoint_ok),
         CheckResult("six-cycle-nesting", n, nesting_ok),
     ]
+
+
+def round_orbit(n: int) -> Iterator[bytes]:
+    """The round starts of the walk from default_start(n), without end:
+    1^n 0^n, then sigma of each, as ASCII Dyck words of length 2n.
+
+    sigma maps a round's first vertex to the next round's, the vertex it
+    ends on.  It is taken as the walk takes it, a table per round, but
+    each round is landed on its end by hamcycle._round_end instead of
+    walked, so only the round starts are visited.  The rounds partition
+    the vertices, so the walk is one cycle iff this orbit is, through all
+    C_n Dyck words.
+    """
+    state = GeneratorState(n)
+    buf = state.buffer
+    while True:
+        yield bytes(buf[1:-1])
+        _round_end(buf, state._seq)
+        state._start_forward()
+
+
+def check_round_orbit(n: int) -> CheckResult:
+    """The single-cycle fact from the round starts alone: the orbit of
+    1^n 0^n under sigma returns to it after C_n round starts.
+
+    A cycle that misses some Dyck word returns earlier, and an orbit that
+    does not return within C_n steps never will.  Only the start is
+    kept, so memory is O(n); time is C_n rounds of O(n) work, and no cap
+    applies.  Not one of run_checks' rows.
+    """
+    rounds = comb(2 * n, n) // (n + 1)
+    orbit = round_orbit(n)
+    start = next(orbit)
+    length = next(
+        (k for k, x in enumerate(islice(orbit, rounds), 1) if x == start), 0
+    )
+    ok = length == rounds
+    detail = f"returned after {length} of {rounds} round starts"
+    if not length:
+        detail = f"no return within {rounds} round starts"
+    return CheckResult("round-orbit", n, ok, detail)
 
 
 def run_checks(n: int) -> list[CheckResult]:

@@ -81,10 +81,10 @@ def test_gen_flips_off_walks_the_short_cycle(capsys):
     assert len(set(out[:42])) == 42
 
 
-def _cursor_walks(n, every=1):
-    """(counts, start, vertices, flips) for every start at n (or every
-    every-th one), stepped with the public cursor as far as the largest
-    count."""
+def _cursor_walks(n, every=1, flips="on"):
+    """(counts, start, vertices, steps) for every start at n (or every
+    every-th one), stepped with the public cursor, with pair rounds on or
+    off, as far as the largest count; steps are the flipped positions."""
     # every count up to two rounds past the start's pass end (it ends
     # within 2n+1 steps), and one count that wraps the cycle
     counts = [*range(1, 10 * n + 7), total_vertices(n) + 4 * n + 3]
@@ -92,25 +92,25 @@ def _cursor_walks(n, every=1):
     words = (format(i, f"0{size}b") for i in range(2**size))
     starts = [w for w in words if w.count("1") in (n, n + 1)]
     for start in starts[::every]:
-        state = GeneratorState(n, start)
-        verts, flips = [start], []
+        state = GeneratorState(n, start, flips == "on")
+        verts, steps = [start], []
         for _ in range(max(counts) - 1):
             next(state)
             verts.append(state.vertex())
-            flips.append(state.last_flip)
-        yield counts, start, verts, flips
+            steps.append(state.last_flip)
+        yield counts, start, verts, steps
 
 
-def _expected(fmt, start, verts, flips, count):
+def _expected(fmt, start, verts, steps, count):
     """gen's output for the first count vertices of a cursor walk."""
     if fmt == "bits":
         return "".join(f"{v}\n" for v in verts[:count])
-    return f"{start}\n" + "".join(f"{p}\n" for p in flips[: count - 1])
+    return f"{start}\n" + "".join(f"{p}\n" for p in steps[: count - 1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
-    for counts, start, verts, flips in _cursor_walks(n):
+    for counts, start, verts, steps in _cursor_walks(n):
         for fmt in ("bits", "delta"):
             args = cli._build_parser().parse_args(
                 ["gen", "-n", str(n), "--start", start, "--format", fmt]
@@ -119,35 +119,43 @@ def test_gen_matches_the_public_cursor_at_every_count(n, capsys):
                 args.count = count
                 assert cli._cmd_gen(args) == 0
                 out = capsys.readouterr().out
-                assert out == _expected(fmt, start, verts, flips, count)
+                assert out == _expected(fmt, start, verts, steps, count)
 
 
-def _check_chunks_cut_anywhere(n, fmt, capsys, monkeypatch, every=1):
+def _check_chunks_cut_anywhere(
+    n, fmt, capsys, monkeypatch, every=1, flips="on"
+):
     # A default chunk holds all of these walks but their first pass.
     # Chunks of one byte (so of one line), of one line and of three
     # lines end inside passes and at pass ends; a chunk that fills up
     # exactly at the end of the second pass leaves the next one empty.
-    # A count can stop the walk at any of those places.
+    # A count can stop the walk at any of those places.  The default
+    # chunk is checked with pair rounds at every count elsewhere, and
+    # here without them.
     size = 2 * n + 1
 
     def line_bytes(p):
         return size + 1 if fmt == "bits" else len(f"\n{p}")
 
     width = line_bytes(size)
-    for counts, start, verts, flips in _cursor_walks(n, every):
-        ends = [k for k, p in enumerate(flips) if p == size]
-        second = flips[ends[0] + 1 : ends[1] + 1]
+    chunk_sizes = [1, width, 3 * width]
+    if flips == "off":
+        chunk_sizes.append(cli._CHUNK_BYTES)
+    for counts, start, verts, steps in _cursor_walks(n, every, flips):
+        ends = [k for k, p in enumerate(steps) if p == size]
+        second = steps[ends[0] + 1 : ends[1] + 1]
         at_pass_end = sum(map(line_bytes, second)) + width - 1
         args = cli._build_parser().parse_args(
-            ["gen", "-n", str(n), "--start", start, "--format", fmt]
+            ["gen", "-n", str(n), "--start", start, "--format", fmt,
+             "--flips", flips]
         )
-        for chunk_bytes in (1, width, 3 * width, at_pass_end):
+        for chunk_bytes in (*chunk_sizes, at_pass_end):
             monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
             for count in counts:
                 args.count = count
                 assert cli._cmd_gen(args) == 0
                 out = capsys.readouterr().out
-                assert out == _expected(fmt, start, verts, flips, count)
+                assert out == _expected(fmt, start, verts, steps, count)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -158,6 +166,15 @@ def test_gen_bits_chunks_cut_anywhere_in_a_pass(n, capsys, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gen_delta_chunks_cut_anywhere_in_a_pass(n, capsys, monkeypatch):
     _check_chunks_cut_anywhere(n, "delta", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_delta_without_flips_matches_the_public_cursor(
+    n, capsys, monkeypatch
+):
+    # basic rounds from 110 and 101 words land on their own rotations,
+    # however the round lists are cut
+    _check_chunks_cut_anywhere(n, "delta", capsys, monkeypatch, flips="off")
 
 
 def test_gen_delta_chunks_hold_lines_of_two_widths(capsys, monkeypatch):

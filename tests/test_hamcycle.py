@@ -605,6 +605,65 @@ def test_the_round_after_matches_the_oracle(start):
     assert state._seq == _round_oracle(buf[1:-1].decode(), flips)
 
 
+def _lands_where_it_walks(x: str, flips: bool) -> None:
+    # _round_end on x + '0' and x's installed table gives the bytes of
+    # the table's 4n+2 flips, and leaves the table as it was
+    state = _built_round(x, flips)
+    seq = state._seq
+    kept = seq[:]
+    walked = bytearray(state.buffer)
+    for p in seq:
+        walked[p] ^= 1
+    landed = bytearray(state.buffer)
+    hamcycle._round_end(landed, seq)
+    assert landed == walked, (x, flips)
+    assert seq == kept
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_round_end_lands_where_every_round_walks(n):
+    for flips in (False, True):
+        for x in dyck_words(n):
+            _lands_where_it_walks(x, flips)
+
+
+@st.composite
+def round_ends_up_to_500(draw) -> tuple[str, bool]:
+    """(x, flips): a Dyck word x of length 2n for n up to 500 and whether
+    pair rounds are on.  One draw in three forces the prefix 110, one in
+    three 101, and the rest are round_starts_up_to_500 draws, whose pair
+    sources and targets are flip pairs."""
+    kind = draw(st.sampled_from(["110", "101", "round"]))
+    if kind == "round":
+        return draw(round_starts_up_to_500())[1:]
+    n = draw(st.integers(2, 500))
+    a = draw(st.integers(0, n - 2))
+    w, v = _dyck(draw, a), _dyck(draw, n - 2 - a)
+    return f"{kind}{w}0{v}", draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None)
+@given(round_ends_up_to_500())
+def test_round_end_lands_where_large_rounds_walk(start):
+    _lands_where_it_walks(*start)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_end_gives_every_round_start_of_the_cycle(n):
+    # each round start the walk crosses is _round_end of the one before
+    state = GeneratorState(n)
+    buf = state.buffer
+    landed = bytearray(buf)
+    seq = state._seq
+    for _ in range(total_vertices(n)):
+        next(state)
+        if state.at_first_vertex:
+            hamcycle._round_end(landed, seq)
+            assert landed == buf
+            seq = state._seq
+    assert landed == bytearray(b"0") + default_start(n).encode()
+
+
 def _backward_walk(y: str) -> GeneratorState:
     # a walk at y + '1': the round from x = 1u0v, built without pair
     # rules so that its forward pass reaches y, and stepped through it;

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
+from itertools import islice
+from math import comb
 
 import pytest
 
@@ -35,80 +37,87 @@ LISTING_SHA256 = {
     9: "171ac08b93f4281894db74d1d9b6ce9cb324b517cfb2218d95e9326714c16f6a",
 }
 
-# sha256 of `midlevels gen -n N [--start S] --count C --format delta`.
-# The first entry per n starts at the default vertex and runs 10^6 steps;
-# the others resume at one start of each kind the constructor tells
-# apart and run 10^5 steps.  In the pair starts, x = 1(10)^k 0 (10)^l 0
-# is a broom source for which is_flip_tree holds, and the partner is
-# 101 (10)^(k-1) 0 (10)^l 0.
+# sha256 of `midlevels gen -n N [--start S] --count C --format delta
+# --flips F`.  The first entry per n starts at the default vertex and
+# runs 10^6 steps; the others resume at one start of each kind the
+# constructor tells apart and run 10^5 steps.  In the pair starts,
+# x = 1(10)^k 0 (10)^l 0 is a broom source for which is_flip_tree holds,
+# and the partner is 101 (10)^(k-1) 0 (10)^l 0.  The flips-off walk
+# takes only basic rounds, among them rounds from 110 and 101 words and
+# from 1100 1^17 0^17, a pair source when flips are on.
 DELTA_SHA256 = [
     pytest.param(
-        19, None, 1000001,
+        19, None, 1000001, "on",
         "d762078ee088187f4808842de49a6e4c6c48698b085019892b400892503944b9",
         id="19",
     ),
     pytest.param(
-        19, "1" * 13 + "0" * 20 + "1" * 6, 100001,
+        19, "1" * 13 + "0" * 20 + "1" * 6, 100001, "on",
         "ee8eb6a2361ba282cb6252c2a58d4cbbfd7e3b100b49c590fb66e24fa8a72d79",
         id="19-mid-backward",
     ),
     pytest.param(
-        19, "1" * 18 + "0" * 19 + "10", 100001,
+        19, "1" * 18 + "0" * 19 + "10", 100001, "on",
         "c80ae8e2960e07b525495eea329266a16a36db0be606240832aa37593112f054",
         id="19-before-forward-close",
     ),
     pytest.param(
-        19, "1" * 18 + "0" * 18 + "101", 100001,
+        19, "1" * 18 + "0" * 18 + "101", 100001, "on",
         "6d726d0e3018aca2e7b59b77d4d707995ecdf3aff4424c17a29e88b7a9ccadac",
         id="19-before-backward-close",
     ),
     pytest.param(
-        19, "1" + "10" * 9 + "0" + "10" * 9 + "0", 100001,
+        19, "1" + "10" * 9 + "0" + "10" * 9 + "0", 100001, "on",
         "3d350c7ff17b554a501bdc45a122e9b47e6e69e83a9e3d9723712b8be05086cb",
         id="19-pair-source",
     ),
     pytest.param(
-        19, "101" + "10" * 8 + "0" + "10" * 9 + "0", 100001,
+        19, "101" + "10" * 8 + "0" + "10" * 9 + "0", 100001, "on",
         "c46044117bbdbba8fd559d5cc8fe8eb6bfde70e10329a9b16869e134e080d8a9",
         id="19-pair-partner",
     ),
     pytest.param(
-        19, "10" * 4 + "011" + "10" * 4 + "1" + "10" * 9 + "0", 100001,
+        19, "10" * 4 + "011" + "10" * 4 + "1" + "10" * 9 + "0", 100001, "on",
         "aa5bfe229584d4e0d98381a5467844d8673336e93324098dabbd2e954c374504",
         id="19-partner-interior",
     ),
     pytest.param(
-        500, None, 1000001,
+        19, None, 100001, "off",
+        "d8d5b949568a6f4d4dd15f9a664cd02816ba7828fdba8173f6165a59cb40dcb5",
+        id="19-flips-off",
+    ),
+    pytest.param(
+        500, None, 1000001, "on",
         "691c489dc8b4ca8e674f51d2ca1b6c4dccf589f50fbbecfb1aed3e4bae23acba",
         id="500",
     ),
     pytest.param(
-        500, "1" * 374 + "0" * 501 + "1" * 126, 100001,
+        500, "1" * 374 + "0" * 501 + "1" * 126, 100001, "on",
         "697d0c77513ed82e3ddc73d843ee846aca66cd0876e5686ccd70f18e1f4bee35",
         id="500-mid-backward",
     ),
     pytest.param(
-        500, "1" * 499 + "0" * 500 + "10", 100001,
+        500, "1" * 499 + "0" * 500 + "10", 100001, "on",
         "6d8f6cb5ae23cfd22ddd81eb8d4d1417cbb5c6565caef37510163353cbcb73f1",
         id="500-before-forward-close",
     ),
     pytest.param(
-        500, "1" * 499 + "0" * 499 + "101", 100001,
+        500, "1" * 499 + "0" * 499 + "101", 100001, "on",
         "4b2d5ba58b2c21876a99370f7dd1401a085648c5d84c21e2b19c0b055e021455",
         id="500-before-backward-close",
     ),
     pytest.param(
-        500, "1" + "10" * 249 + "0" + "10" * 250 + "0", 100001,
+        500, "1" + "10" * 249 + "0" + "10" * 250 + "0", 100001, "on",
         "d471d05e248a80ac92680d06f5cc06e0f53ca881e06939c5fa20cde5f0ded242",
         id="500-pair-source",
     ),
     pytest.param(
-        500, "101" + "10" * 248 + "0" + "10" * 250 + "0", 100001,
+        500, "101" + "10" * 248 + "0" + "10" * 250 + "0", 100001, "on",
         "f57941bddf41ead1e79b581ed15ff7f009826c680d63b751e40452458eb10e10",
         id="500-pair-partner",
     ),
     pytest.param(
-        500, "10" * 124 + "011" + "10" * 124 + "1" + "10" * 250 + "0", 100001,
+        500, "10" * 124 + "011" + "10" * 124 + "1" + "10" * 250 + "0", 100001, "on",
         "14d955f81ca54aa94696a871297e360660e2aa742cbf4b2b3e8e2be056a93e75",
         id="500-partner-interior",
     ),
@@ -155,6 +164,12 @@ VERIFY_MAX_SHA256 = "9c9a31d1ad946e645a4e15563ee1649332d3dbf267e6791170daf723ab4
 # the full-sweep cap raised to 10
 VERIFY_N10_SHA256 = "442203c45bf250f04ea56ac3012a2a653b359b3e3ac274bc2a5eced95f9e25a0"
 
+# sha256 of the round starts from 1^12 0^12 in walk order, one Dyck word
+# and a newline each: the 208,012 words of verify.round_orbit(12)
+ROUND_ORBIT_N12_SHA256 = (
+    "d4c04ba5a9745bba57108888d6fb323c89385566ae4d718ff7c0dded0b0e3920"
+)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -165,19 +180,20 @@ def test_listing_digest(n):
     assert _sha256("\n".join(generate(n)) + "\n") == LISTING_SHA256[n]
 
 
-def _gen_digest(monkeypatch, n, start, count, fmt):
+def _gen_digest(monkeypatch, n, start, count, fmt, flips="on"):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     argv = ["gen", "-n", str(n), "--count", str(count), "--format", fmt]
+    argv += ["--flips", flips]
     if start is not None:
         argv += ["--start", start]
     assert main(argv) == 0
     return _sha256(out.getvalue())
 
 
-@pytest.mark.parametrize("n, start, count, digest", DELTA_SHA256)
-def test_cli_delta_digest(n, start, count, digest, monkeypatch):
-    assert _gen_digest(monkeypatch, n, start, count, "delta") == digest
+@pytest.mark.parametrize("n, start, count, flips, digest", DELTA_SHA256)
+def test_cli_delta_digest(n, start, count, flips, digest, monkeypatch):
+    assert _gen_digest(monkeypatch, n, start, count, "delta", flips) == digest
 
 
 @pytest.mark.parametrize("n, start, count, digest", BITS_SHA256)
@@ -210,3 +226,9 @@ def test_check_rows_digest_past_the_cap(monkeypatch):
     monkeypatch.setattr(verify, "FULL_GRAPH_CAP", 10)
     text = "".join(format_check(r) + "\n" for r in verify.run_checks(10))
     assert _sha256(text) == VERIFY_N10_SHA256
+
+
+def test_round_orbit_digest():
+    starts = islice(verify.round_orbit(12), comb(24, 12) // 13)
+    digest = hashlib.sha256(b"".join(x + b"\n" for x in starts)).hexdigest()
+    assert digest == ROUND_ORBIT_N12_SHA256

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import tracemalloc
 from contextlib import redirect_stdout
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from midlevels.flipseq import flip_sequence
 from midlevels.hamcycle import (
     GeneratorState,
     _basic_table,
+    _partner,
     default_start,
+    generate,
     total_vertices,
 )
 from midlevels.trees import (
@@ -34,18 +37,20 @@ from midlevels.verify import (
     CheckResult,
     check_flip_graph,
     check_listing,
+    check_round_orbit,
     check_six_cycles,
     check_two_factor,
     flip_graph,
     format_check,
     plane_tree_count,
+    round_orbit,
     run_checks,
     run_suite,
     tree_signature,
     two_factor,
 )
 
-from helpers import apply_flips, rotation_orbit
+from helpers import apply_flips, catalan, rotation_orbit
 
 # OEIS A002995, plane trees by number of edges
 PLANE_TREE_COUNTS = {
@@ -443,6 +448,66 @@ def test_single_cycle_row_falls_back_when_the_listing_fails(monkeypatch):
     single = rows["single-cycle"]
     assert single.passed
     assert single.detail == f"1 cycle(s), lengths [{total_vertices(n)}]"
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_round_orbit_runs_through_every_dyck_word(n):
+    c = catalan(n)
+    assert check_round_orbit(n) == CheckResult(
+        "round-orbit", n, True, f"returned after {c} of {c} round starts"
+    )
+
+
+def test_round_orbit_is_the_walks_round_starts():
+    n = 5
+    starts = [x.decode() for x in islice(round_orbit(n), catalan(n) + 1)]
+    assert starts[0] == starts[-1] == default_start(n)[:-1]
+    walked = [v[:-1] for i, v in enumerate(generate(n)) if i % (4 * n + 2) == 0]
+    assert starts[:-1] == walked
+
+
+def test_round_orbit_flags_a_pair_left_unjoined(monkeypatch):
+    # one flip pair taken as two basic words splits the cycle in two
+    n = 5
+    source = next(x for x in dyck_words(n) if x[:3] == "110" and _partner(x))
+    unjoined = {source, pair_image(source)}
+    monkeypatch.setattr(
+        hamcycle, "_partner", lambda y: y not in unjoined and _partner(y)
+    )
+    row = check_round_orbit(n)
+    assert not row.passed
+    length = int(row.detail.split()[2])
+    assert 0 < length < catalan(n)
+
+
+def test_round_orbit_flags_an_orbit_that_never_returns(monkeypatch):
+    # a landing that skips the start: the orbit cycles without it
+    n = 4
+    start = bytearray(b"0") + default_start(n).encode()
+    second = bytearray(start)
+    hamcycle._round_end(second, GeneratorState(n)._seq)
+
+    def skipping(buf, seq):
+        hamcycle._round_end(buf, seq)
+        if buf == start:
+            buf[:] = second
+
+    monkeypatch.setattr(verify, "_round_end", skipping)
+    row = check_round_orbit(n)
+    assert row == CheckResult(
+        "round-orbit", n, False, f"no return within {catalan(n)} round starts"
+    )
+
+
+def test_round_orbit_memory_stays_o_n():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert check_round_orbit(10).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 14
 
 
 def test_run_suite_small():
