@@ -10,17 +10,11 @@ import argparse
 import os
 import sys
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from typing import TextIO
 
-from .hamcycle import (
-    GeneratorState,
-    _round_end,
-    default_start,
-    ham_cycle,
-    total_vertices,
-)
+from .hamcycle import GeneratorState, default_start, ham_cycle, total_vertices
 
 # Bytes per `gen` write, in either format, but at least one line: the
 # memory stays O(n) however long a round is, and short lines take few
@@ -100,29 +94,25 @@ def _piped_stdout() -> Iterator[TextIO]:
 
 
 def _text_chunks(
-    state: GeneratorState,
-    count: int,
+    vertex: str,
+    passes: Iterable[list[int]],
     emit: Callable[[bytearray, list[int]], None],
     width: int,
-    land: Callable[[list[int]], None] | None = None,
 ) -> Iterator[str]:
-    """The state's vertex, the lines emit appends for the flips of the
-    next count - 1 steps, and the last line's newline, as text chunks.
+    """The line vertex, the lines emit appends for each flip list of
+    passes, and the last line's newline, as text chunks.
 
     Each line starts with the newline that ends the line before it and
-    takes at most width bytes.  The lines gather in one chunk across the
-    ends of the state's flip lists, and a chunk ends once it has no room
-    for another line within _CHUNK_BYTES; it takes at least one line.
-    The first chunk ends with the first list at the latest.  emit may
-    get one list in several pieces; the state's buffer must reach the
-    vertex a list leads to before the next list is asked for, either by
-    emit, piece by piece, or by land, called once with each list after
-    its last piece.
+    takes at most width bytes.  A chunk gathers lines across the ends of
+    the lists and ends once it has no room for another line within
+    _CHUNK_BYTES; it takes at least one line, and the first ends with the
+    first list at the latest.  emit may get a list
+    in several pieces, all before the next list is asked for.
     """
     limit = _CHUNK_BYTES
-    chunk = bytearray(state.vertex(), "ascii")
+    chunk = bytearray(vertex, "ascii")
     first = True
-    for part in state._passes(count - 1):
+    for part in passes:
         i = 0
         while len(chunk) + width * (len(part) - i) > limit:
             # the rest of the list may not fit: add the lines that surely do
@@ -133,8 +123,6 @@ def _text_chunks(
                 yield chunk.decode()
                 chunk = bytearray()
         emit(chunk, part[i:] if i else part)
-        if land:
-            land(part)
         if first or len(chunk) + width > limit:
             yield chunk.decode()
             chunk = bytearray()
@@ -157,7 +145,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     buf = state.buffer
-    land = None
     if args.format == "bits":
         # The generator never reads the buffer's sentinel byte, so as
         # "\n" it ends the previous line: after each flip the buffer is
@@ -173,23 +160,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         line = [b"\n%d" % p for p in range(len(buf))]
         width = len(line[-1])
-        whole = 2 * len(buf) - 2  # the 4n+2 flips of a round
 
         def emit(chunk: bytearray, flips: list[int]) -> None:
             chunk += b"".join(map(line.__getitem__, flips))
 
-        def land(flips: list[int]) -> None:
-            # a round start reads the vertex it starts at: a whole round
-            # lands on its end from its table, and only a list cut at the
-            # cursor or at the count is walked flip by flip
-            if len(flips) == whole:
-                _round_end(buf, flips)
-            else:
-                for p in flips:
-                    buf[p] ^= 1
-
     with _piped_stdout() as out:
-        chunks = _text_chunks(state, count, emit, width, land)
+        # delta shows no vertex inside a round, so the walk lands each
+        # whole round on its end instead of emit flipping it
+        passes = state._passes(count - 1, args.format == "delta")
+        chunks = _text_chunks(state.vertex(), passes, emit, width)
         # flushed at once, so that a reader gets the first line without
         # waiting for a full chunk
         out.write(next(chunks))

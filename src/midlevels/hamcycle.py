@@ -37,13 +37,12 @@ a basic 101 word's is 2; its bits 2 and 3 are swapped to its source
 with its own b.
 
 The package's own drivers take the walk a round at a time, as flip
-lists to apply to the buffer, or, where no vertex inside a whole round
-is shown, to land the buffer on its end by _round_end; the public
-cursor steps one vertex per call, at the cost of one flip.  Every path
-that `flipseq`, `forward_sequence` and `verify` hand out is the forward
-half of such a table, cut before the top bit's flip, so the flip rules
-are stated only here: the basic rule in _locate's scan and the round
-start's shift, the pair rules in _pair_round and the resume's patches.
+lists from _passes, and the public cursor one vertex per call.  Every
+path that `flipseq`, `forward_sequence` and `verify` hand out is the
+forward half of a round table, cut before the top bit's flip, so the
+flip rules are stated only here: the basic rule in _locate's scan and
+the round start's shift, the pair rules in _pair_round and the resume's
+patches.
 
 A round start asks whether x is a word of a flip pair, whose forward
 half follows the modified pair rules.  `_partner` is that one pair
@@ -333,24 +332,34 @@ class GeneratorState:
             self._k = k + 1
         return buf
 
-    def _passes(self, steps: int) -> Iterator[list[int]]:
+    def _passes(self, steps: int, land: bool = False) -> Iterator[list[int]]:
         """Yield the flip lists of the next steps steps, a round at a time.
 
         The first list runs from the cursor to the end of its round, each
         later one is a whole round, and the last is cut where the steps
-        end.  The consumer applies each list to the buffer, or lands the
-        buffer on a whole round's end with _round_end, before asking for
-        the next one, because the next round is built from the vertex the
-        list leads to, and must not mutate it, because the next round is
-        derived from it.  Only the round starts it crosses move the
+        end.  The next round is built from the vertex a list leads to and
+        shifted from the list's table, so the buffer must reach that vertex
+        before the next list is asked for, and no list may be mutated.
+        Without land the consumer applies each list to the buffer.  With
+        land the pass moves the buffer itself and the consumer must not: a
+        whole round is landed on its end by _round_end, a first list cut at
+        the cursor is flipped, and the last list is left unapplied, since
+        nothing reads past it.  Only the round starts it crosses move the
         cursor, and i and last_flip do not follow: at_first_vertex reads
         the last round start crossed, or the cursor's place if none was.
         A driver that takes the walk this way does not also step the state.
         """
+        buf = self._buf
         seq = self._seq[self._k :]
         while len(seq) < steps:
             yield seq
             steps -= len(seq)
+            if land:
+                if self._k:
+                    for p in seq:
+                        buf[p] ^= 1
+                else:
+                    _round_end(buf, seq)
             self._start_forward()
             seq = self._seq
         if steps > 0:

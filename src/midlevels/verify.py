@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import chain, groupby, islice
-from math import comb, gcd
+from math import comb, gcd, inf
 from typing import NamedTuple
 
 from .bitwords import dyck_words
@@ -29,7 +29,6 @@ from .hamcycle import (
     _forward_half,
     _pair_round,
     _partner,
-    _round_end,
     default_start,
     total_vertices,
 )
@@ -421,17 +420,14 @@ def round_orbit(n: int) -> Iterator[bytes]:
 
     sigma maps a round's first vertex to the next round's, the vertex it
     ends on.  It is taken as the walk takes it, a table per round, but
-    each round is landed on its end by hamcycle._round_end instead of
-    walked, so only the round starts are visited.  The rounds partition
-    the vertices, so the walk is one cycle iff this orbit is, through all
-    C_n Dyck words.
+    the walk lands each round on its end instead of flipping it, so only
+    the round starts are visited.  The rounds partition the vertices, so
+    the walk is one cycle iff this orbit is, through all C_n Dyck words.
     """
     state = GeneratorState(n)
     buf = state.buffer
-    while True:
+    for _ in state._passes(inf, True):
         yield bytes(buf[1:-1])
-        _round_end(buf, state._seq)
-        state._start_forward()
 
 
 def check_round_orbit(n: int) -> CheckResult:

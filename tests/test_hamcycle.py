@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -662,6 +663,59 @@ def test_round_end_gives_every_round_start_of_the_cycle(n):
             assert landed == buf
             seq = state._seq
     assert landed == bytearray(b"0") + default_start(n).encode()
+
+
+def _lands_as_it_flips(v: str, flips: bool, steps: int) -> None:
+    # _passes(steps, True) yields the lists a flipping _passes(steps)
+    # does, with the buffer where the flipping walk's is at each one,
+    # and leaves the last list unapplied
+    n = len(v) // 2
+    walk = GeneratorState(n, v, flips)
+    landed = GeneratorState(n, v, flips)
+    lands = landed._passes(steps, True)
+    at = bytes(landed.buffer)
+    for part in walk._passes(steps):
+        assert next(lands) == part, (v, flips, steps)
+        at = bytes(landed.buffer)
+        assert at == walk.buffer, (v, flips, steps)
+        for p in part:
+            walk.buffer[p] ^= 1
+    assert next(lands, None) is None
+    assert landed.buffer == at, (v, flips, steps)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_landing_passes_move_the_buffer_as_flipping_ones(n):
+    # steps that end inside the cursor's round, at its end, one whole
+    # round later and inside the second round after it
+    size = 4 * n + 2
+    for v in all_words(2 * n + 1):
+        if v.count("1") not in (n, n + 1):
+            continue
+        for flips in (False, True):
+            rest = size - GeneratorState(n, v, flips)._k
+            for steps in (0, 1, rest, rest + size, rest + 2 * size + n + 1):
+                _lands_as_it_flips(v, flips, steps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(middle_words_up_to_500(top=True), st.booleans(), st.data())
+def test_landing_passes_move_large_buffers_as_flipping_ones(v, flips, data):
+    size = 2 * len(v)
+    _lands_as_it_flips(v, flips, data.draw(st.integers(0, 3 * size)))
+
+
+def test_only_hamcycle_crosses_rounds():
+    # a round start reads the buffer, so only hamcycle moves it across
+    # one: every other module takes the walk from _passes
+    package = Path(hamcycle.__file__).parent
+    names = ("_round_end", "._seq", "_start_forward")
+    crossing = [
+        f.name
+        for f in sorted(package.glob("*.py"))
+        if f.name != "hamcycle.py" and any(m in f.read_text() for m in names)
+    ]
+    assert crossing == []
 
 
 def _backward_walk(y: str) -> GeneratorState:
