@@ -28,21 +28,20 @@ the working set stays O(n).
 
 So the round from x ends on sigma(x) = rot(pi(x)), for rot(1u0v) = u1v0
 and pi the swap of a pair source 110w0v with its target 101w0v, and
-_round_end lands there from the table's first entry b alone, in three
-byte moves: drop x's first bit, set the bit at b - 1 and put a 0
+_round_end lands there from the table's head, in three byte moves from
+its first entry b: drop x's first bit, set the bit at b - 1 and put a 0
 before the top bit.  A pair source's b is 3, and the moves give 11w0v0,
-its target's rotation.  A pair target's b closes the run at 3, where
-a basic 101 word's is 2; its bits 2 and 3 are swapped to its source
-110w0v first, which then rotates with that b.  Any other x rotates
-with its own b.
+its target's rotation.  A pair target's round [b, 1, 2, 3, 1, 2] is the
+one table that lists 3 where every other lists position 2; its bits 2
+and 3 are swapped to its source 110w0v first, which then rotates with
+that b, the close of the run at 3.  Any other x rotates with its own b.
 
 The package's own drivers take the walk a round at a time, as flip
 lists from _passes, and the public cursor one vertex per call.  Every
 path that `flipseq`, `forward_sequence` and `verify` hand out is the
 forward half of a round table, cut before the top bit's flip, so the
 flip rules are stated only here: the basic rule in _locate's scan and
-the round start's shift, the pair rules in _pair_round and the resume's
-patches.
+the round start's shift, the pair rules in _pair_round alone.
 
 A round start asks whether x is a word of a flip pair, whose forward
 half follows the modified pair rules.  `_partner` is that one pair
@@ -53,13 +52,17 @@ which builds a tree record, only where they leave the source open.
 
 `GeneratorState` can start at any vertex.  One bracket scan of the
 start, for either top bit, gives the first vertex x of the round whose
-basic table holds it, its index in that table and the table itself
+basic table holds it, its index t in that table and the table itself
 (`_locate`): x is the start with its unmatched bits flipped, one of them
-dropped by the start's weight, and a 1 put in front.  On top bit 0 a
-pair word's table is patched into its own pair round or, past its first
-vertex, its partner's; on top bit 1, in the backward half, the basic
-table of x is the round.  Every start yields the same cyclic listing,
-merely rotated.
+dropped by the start's weight, and a 1 put in front.  A resume keeps
+that table but at a pair word's first vertex, which takes its pair
+round, and at steps t = 1 to 5 of a pair source's path, which its
+target's pair round visits in reverse, at index 6 - t.  Elsewhere the
+basic table lists the walk's flips from the start on: a backward half
+is the same in every round through it, a source's basic table lists
+its target's pair round from step 6, a target's its source's from
+step 1, and the next round start shifts either table to the same next
+one.  Every start yields the same cyclic listing, merely rotated.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def _round_end(buf: bytearray, seq: list[int]) -> None:
     bit 0; seq is the round's whole table, which is read, not changed.
     """
     b = seq[0]
-    if buf[2] == 48 and b != 2:  # a pair target: x starts 10, b > 2
+    if seq[3] != 2:  # a pair target's round, [b, 1, 2, 3, 1, 2]
         buf[2], buf[3] = 49, 48
     # 1u0v to u1v0, the top bit 0 kept
     del buf[1]
@@ -277,8 +280,9 @@ class GeneratorState:
     plus an offset that a step moves by 4n+2 when it ends a round.
 
     A start vertex is read once, by one bracket scan, into the first
-    vertex of the round it lies on, that word's basic table and the
-    start's index in it; only a pair word's table is patched after.
+    vertex of the basic round it lies on, that word's basic table and
+    the start's index in it, and the cursor keeps that table but where
+    the module's resume rule puts a pair round.
     """
 
     __slots__ = ("n", "flips", "last_flip", "_buf", "_seq", "_k", "_i0", "_end")
@@ -301,20 +305,13 @@ class GeneratorState:
             self._start_backward(start)
             return
         y, t, seq = _locate(start)
-        if flips and _partner(y):
-            if not t:
-                _pair_round(seq, y[1] == "1")
-            elif y[1] == "1":
-                # the start lies on the walk of y's target, whose pair
-                # round is y's table behind the rule [b, 1, 2, 3, 1, 2];
-                # its steps 1 to 5 visit y's steps 5 to 1
-                seq[2:6] = 2, 3, 1, 2
-                if t < 6:
-                    t = 6 - t
-            else:
-                # the start lies on the walk of y's source, whose pair
-                # round is y's table behind the rule [3, 1]
-                seq[0] = 3
+        if flips and (not t or t < 6 and y[:3] == "110") and _partner(y):
+            if t:
+                # steps 1 to 5 of a source's path are steps 5 to 1 of its
+                # target's pair round
+                y, t = "101" + y[3:], 6 - t
+                seq = _basic_table(y)
+            _pair_round(seq, y[1] == "1")
         self._seq, self._k, self._i0 = seq, t, 1 - t
 
     def __iter__(self) -> GeneratorState:
@@ -384,13 +381,9 @@ class GeneratorState:
             _pair_round(seq, buf[2] == 49)
 
     def _start_backward(self, start: str) -> None:
-        # start lies in the backward half of a round that ends on u1v0.
-        # That half depends only on u01v, so it is the half of the basic
-        # table of x = 1u0v, which _locate writes in the scan that finds
-        # the start's index.  The shift also reads that table right: a
-        # pair source's round ends where its target's basic round does,
-        # and a target's is shifted as its source's basic table.  The
-        # forward half is never walked.
+        # start lies in the backward half of a round that ends on u1v0,
+        # which depends only on u01v: the cursor keeps the basic table of
+        # x = 1u0v, by the resume rule, and never walks its forward half
         _, k, self._seq = _locate(start)
         self._k, self._i0 = k, 1 - k
 

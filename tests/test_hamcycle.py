@@ -177,9 +177,11 @@ def test_state_validates_input():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_resume_runs_the_flip_tree_test_once(n, monkeypatch):
-    # a start whose pass is forward tests its path's first vertex for a
-    # pair once, and only if that vertex starts 110 or 101; a start in a
-    # backward pass tests nothing
+    # a start in a forward half tests its path's first vertex y for a
+    # pair at most once: at y itself if y starts 110 or 101, and at
+    # steps 1 to 5 of y's path if y starts 110, where a pair source's
+    # target round runs; any other start, and any in a backward half,
+    # keeps its basic table and tests nothing
     calls: list[str] = []
     pattern = hamcycle.flip_tree_by_pattern
 
@@ -193,8 +195,11 @@ def test_resume_runs_the_flip_tree_test_once(n, monkeypatch):
             continue
         calls.clear()
         GeneratorState(n, start)
-        y = path_first_vertex(start[:-1])[0] if start[-1] == "0" else ""
-        assert len(calls) == (y[:3] in ("110", "101")), start
+        tested = False
+        if start[-1] == "0":
+            y, t = path_first_vertex(start[:-1])
+            tested = y[:3] == "110" and t < 6 or y[:3] == "101" and not t
+        assert len(calls) == tested, start
 
 
 def test_one_cycle_at_n5_builds_a_tree_for_six_pair_tests(monkeypatch):
@@ -468,23 +473,49 @@ def test_round_lists_match_the_oracle(start):
         assert got[1:6] == [1, 2, 3, 1, 2]
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(middle_words_up_to_500(top=True), st.booleans())
-def test_resume_installs_the_round_of_its_first_vertex(v, flips):
+def _installs_its_round(v: str, flips: bool) -> None:
     # undoing the flips before the cursor leads from v back to the first
-    # vertex x0 of the installed round, which must be that round's table
+    # vertex x of the installed round.  On top bit 0 that round is the
+    # basic round of the first vertex y of v's basic path, at v's step t
+    # on it, except y's pair round at y itself and, at steps 1 to 5 of a
+    # pair source's path, its target's pair round at step 6 - t, which
+    # revisits them in reverse.  On top bit 1 it is always x's basic round
     n = len(v) // 2
     state = GeneratorState(n, v, flips)
-    x0 = apply_flips(v, state._seq[: state._k][::-1])[-1]
+    k = state._k
+    x0 = apply_flips(v, state._seq[:k][::-1])[-1]
     x = x0[:-1]
     assert x0[-1] == "0" and is_dyck_word(x)
+    pair = False
     if v[-1] == "0":
-        assert state._seq == _round_oracle(x, flips)
+        y, t = path_first_vertex(v[:-1])
+        pair = flips and (
+            not t or t < 6 and y[:3] == "110" and adjacency_is_flip_tree(y)
+        )
+        if t and pair:
+            y, t = pair_image(y), 6 - t
+        assert (x, k) == (y, t), (v, flips)
     else:
-        # the cursor is past the top bit's flip, the entry of b at 2b-2,
-        # and the backward half is the same in every round ending there
-        assert state._k > 2 * state._seq[0] - 2
-        assert state._seq == _round_oracle(x, False)
+        # the cursor is past the top bit's flip, the entry of b at 2b-2
+        assert k > 2 * state._seq[0] - 2
+    assert state._seq == _round_oracle(x, pair), (v, flips)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_resume_installs_the_round_of_every_small_start(n):
+    for v in all_words(2 * n + 1):
+        if v.count("1") in (n, n + 1):
+            for flips in (False, True):
+                _installs_its_round(v, flips)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(round_starts_up_to_500(), st.integers(0, 7))
+def test_resume_installs_the_round_of_its_first_vertex(start, t):
+    # starts at steps 0 to 7 of the basic paths of plain words, of pair
+    # sources 110w0v and of their targets 101w0v
+    _, x, flips = start
+    _installs_its_round(apply_flips(x + "0", _round_oracle(x, False)[:t])[-1], flips)
 
 
 def _patched_round(x: str) -> list[int]:

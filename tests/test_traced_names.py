@@ -3,7 +3,8 @@
 `perfbench/spans.py` replaces functions and two GeneratorState methods
 by name.  A name removed or renamed in `src/` would make every traced
 run fail, so these tests resolve each one, and check that the generator
-still calls the flip-tree test the tracer counts.  spans.py imports only the
+still calls the flip-tree test the tracer counts and takes
+`_start_backward` exactly for the starts in a backward half.  spans.py imports only the
 standard library, so it is loaded by path without the benchmark's
 other modules.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from itertools import product
 from pathlib import Path
 
 from midlevels import hamcycle, trees
@@ -39,6 +41,27 @@ def test_traced_functions_resolve():
 def test_traced_methods_resolve():
     methods = [meth for _, meth in _load_spans()._METHODS]
     assert [m for m in methods if m not in GeneratorState.__dict__] == []
+
+
+def test_only_backward_half_starts_call_start_backward(monkeypatch):
+    # The tracer's hamcycle.start_backward spans time the resumes in a
+    # backward half, so every start with top bit 1 must take that method
+    # and no start with top bit 0 may.
+    called: list[str] = []
+    method = GeneratorState._start_backward
+
+    def counted(self, start: str) -> None:
+        called.append(start)
+        method(self, start)
+
+    monkeypatch.setattr(GeneratorState, "_start_backward", counted)
+    n = 3
+    for bits in product("01", repeat=2 * n + 1):
+        start = "".join(bits)
+        if start.count("1") in (n, n + 1):
+            called.clear()
+            GeneratorState(n, start)
+            assert called == [start] * (start[-1] == "1"), start
 
 
 def test_generator_calls_is_flip_tree_for_each_open_pattern_test(monkeypatch):

@@ -17,6 +17,7 @@ from midlevels.flipseq import flip_sequence
 from midlevels.hamcycle import (
     GeneratorState,
     _basic_table,
+    _forward_half,
     _partner,
     default_start,
     generate,
@@ -350,6 +351,37 @@ def test_six_cycle_rows_fail_on_a_wrong_target_rule(monkeypatch):
         assert {"six-cycle-endpoints", "six-cycle-symdiff"} <= failing.keys()
 
 
+def test_six_cycle_rows_fail_on_a_shared_cycle(monkeypatch):
+    # every source given the first source's six-cycle borrows its edges
+    six_cycle = verify._six_cycle
+    first: dict[int, list[int]] = {}
+
+    def shared(x: str, table: list[int]) -> list[int]:
+        return first.setdefault(len(x), six_cycle(x, table))
+
+    monkeypatch.setattr(verify, "_six_cycle", shared)
+    for n in range(3, 6):
+        assert "six-cycle-disjoint" in _failing(check_six_cycles(n))
+
+
+def test_six_cycle_rows_fail_on_interleaved_cycles(monkeypatch):
+    # the first two sources given the alternate edges of the basic path
+    # from 1^n 0^n, which is no pair word's, interleave on that path
+    six_cycle = verify._six_cycle
+
+    def alternate(x: str, table: list[int]) -> list[int]:
+        n = len(x) // 2
+        a, b = [w for w in dyck_words(n) if w[:3] == "110"][:2]
+        if x not in (a, b):
+            return six_cycle(x, table)
+        z = "1" * n + "0" * n
+        return _walk(z, _forward_half(_basic_table(z)))[0][x == b :: 2]
+
+    monkeypatch.setattr(verify, "_six_cycle", alternate)
+    for n in range(3, 6):
+        assert "six-cycle-nesting" in _failing(check_six_cycles(n))
+
+
 def test_six_cycle_flip_list_runs_round_the_six_words():
     # x = 110w0v with w = 10, v = 1010 and position 1 closing at b = 6
     x = "1101001010"
@@ -515,8 +547,9 @@ def test_run_suite_small():
     results = run_suite(3)
     assert results
     assert all(r.passed for r in results)
-    with pytest.raises(ValueError):
-        run_suite(10)
+    for max_n in (0, FULL_GRAPH_CAP + 1):
+        with pytest.raises(ValueError):
+            run_suite(max_n)
 
 
 def test_run_suite_is_a_lazy_package_attribute():
