@@ -11,8 +11,9 @@ that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
 Walks are replayed as flip lists on the word's integer value: the
 listing as a stream, each path and six-cycle as its edges.  An edge is
 one int, p << len(x) | lower: the position p it flips above its lower
-word's value.  Cycles are walked a round at a time to count their
-lengths.  No vertex is stored as a string.
+word's value.  No vertex is stored as a string.  Only the listing walk
+flips every step: the two-factor and six-cycle rows read landed walks
+from _round_tables, which scans no word but each cycle's first.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain, groupby, islice
 from math import comb, gcd, inf
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bitwords import dyck_words
 from .hamcycle import (
     GeneratorState,
-    _basic_table,
     _forward_half,
     _pair_round,
     _partner,
@@ -137,62 +138,57 @@ def check_listing(n: int, start: str, steps: Iterable[int]) -> list[CheckResult]
     return results
 
 
-def _rounds(state: GeneratorState, steps: int) -> Iterator[list[int]]:
-    """The flip lists of the next steps steps of state's walk, a round at
-    a time, each applied to state.buffer before it is handed out: the
-    next round is built from the vertex this one leads to."""
-    buf = state.buffer
-    for part in state._passes(steps):
-        for p in part:
-            buf[p] ^= 1
-        yield part
-
-
 def _cycle_steps(state: GeneratorState) -> Iterator[int]:
     """The flip positions of the next N - 1 steps of state's walk, one
     fewer than the vertices of a full cycle, N = total_vertices(state.n).
 
-    The state takes one more step, which the stream does not show: once
-    the stream is spent, state.buffer holds the vertex that step lands
-    on, the start again if the walk is one cycle through every vertex.
-    The steps are read out of the round lists at C level.
-    """
+    The state takes one more step, which the stream does not show, so
+    state.buffer ends on the start again if the walk is one cycle through
+    every vertex.  Each round is flipped on the buffer before its steps
+    are read out at C level: the next round is built from where it leads."""
+    buf = state.buffer
     count = total_vertices(state.n)
-    return islice(chain.from_iterable(_rounds(state, count)), count - 1)
+
+    def rounds() -> Iterator[list[int]]:
+        for part in state._passes(count):
+            for p in part:
+                buf[p] ^= 1
+            yield part
+
+    return islice(chain.from_iterable(rounds()), count - 1)
+
+
+def _round_tables(n: int, flips: bool) -> Iterator[tuple[str, str, list[int]]]:
+    """(z, x, table) for each round start x of the stepping rule, with
+    the table the walk runs from x and the first word z of x's cycle.
+    Each cycle is walked from the first Dyck word z not yet reached, its
+    rounds landed by the walk's passes, until it returns to z; the steps,
+    as many as the vertices, run out only on a cycle through every round
+    start or on a walk that never returns."""
+    if not 1 <= n <= FULL_GRAPH_CAP:
+        raise ValueError("desk-scale only")
+    reached: set[str] = set()
+    for z in dyck_words(n):
+        if z in reached:
+            continue
+        state = GeneratorState(n, z + "0", flips)
+        for table in state._passes(total_vertices(n), True):
+            x = state.buffer[1:-1].decode()
+            if x == z and z in reached:
+                break
+            reached.add(x)
+            yield z, x, table
 
 
 def two_factor(n: int, flips_enabled: bool) -> list[int]:
     """Lengths of the cycles of the stepping rule over the whole vertex
-    set.
-
-    With flips disabled the rule decomposes the vertices into one cycle
-    per plane tree; with flips enabled they merge into a single cycle.
-    Every round starts at z + '0' for a Dyck word z, so each cycle is
-    walked from the first such start not yet reached, and only its round
-    lengths are summed.
-    """
-    if not 1 <= n <= FULL_GRAPH_CAP:
-        raise ValueError("desk-scale only")
-    reached: set[str] = set()
-    lengths: list[int] = []
-    for z in dyck_words(n):
-        if z in reached:
-            continue
-        state = GeneratorState(n, z + "0", flips_enabled)
-        buf = state.buffer
-        length = 0
-        # a cycle is no longer than the vertex set, so the walk returns
-        # to z + '0' before the steps run out
-        for part in _rounds(state, total_vertices(n)):
-            length += len(part)
-            # a list ending on top bit 0 lands on a round's first vertex
-            if buf[-1] == 48:
-                y = buf[1:-1].decode()
-                if y == z:
-                    break
-                reached.add(y)
-        lengths.append(length)
-    return lengths
+    set, each the sum of its rounds' table lengths.  With flips disabled
+    the rule decomposes the vertices into one cycle per plane tree; with
+    flips enabled they merge into a single cycle.  The cycles are landed
+    walks: this counts the cycles of sigma on the round starts, which
+    read only each table's head."""
+    cycles = groupby(_round_tables(n, flips_enabled), itemgetter(0))
+    return [sum(len(t) for *_, t in rounds) for _, rounds in cycles]
 
 
 def check_two_factor(n: int, lengths: list[int], n_classes: int) -> list[CheckResult]:
@@ -363,48 +359,48 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     same ground with endpoints exchanged, and their edge sets differ
     from the basic ones by exactly that pair's six-cycle.  Across pairs
     the six-cycles are edge-disjoint, and on any one basic path the
-    edges borrowed by different six-cycles never interleave.  Every path
-    is read off the round table the walk runs, one table per Dyck word,
-    so the rows check the generator's own pair rounds.
-    """
-    if not 1 <= n <= FULL_GRAPH_CAP:
-        raise ValueError("desk-scale only")
-    words = list(dyck_words(n))
-    sources = [(x, _basic_table(x)) for x in words if x[:3] == "110"]
-    cycles = [_six_cycle(x, table) for x, table in sources]
-    disjoint_ok = True
-    c6_of_edge: dict[int, int] = {}
-    for idx, c6 in enumerate(cycles):
-        for e in c6:
-            if e in c6_of_edge:
-                disjoint_ok = False
-            c6_of_edge[e] = idx
+    edges borrowed by different six-cycles never interleave.
 
-    # a pair word's basic path is the forward half of its table, and its
-    # modified path the forward half once _pair_round has patched that
-    # table.  Each walk is built once and dropped after use: the pairs'
-    # walks in this loop, every other Dyck word's in the next; keeping
-    # them all for a separate nesting loop costs a third more memory
-    endpoints_ok = symdiff_ok = nesting_ok = True
-    for (x, table_x), c6 in zip(sources, cycles):
+    Every path is the forward half of a table from _round_tables, so the
+    rows check the rounds the walk runs, and a six-cycle's b is read off
+    its source's flips-off table.  A pair the flips-on walk joins (its
+    source's round starts with 3) takes its basic tables from the
+    flips-off walk and its modified ones from the flips-on walk; every
+    other word takes its table from the flips-on walk, and _pair_round
+    patches copies only for the pairs that walk leaves unjoined."""
+    # a pair word's flips-off table, then its flips-on table, in one
+    # bytes (every entry is below 256): a list takes eight times more
+    heads = ("110", "101")
+    tables = {x: bytes(t) for _, x, t in _round_tables(n, False) if x[:3] in heads}
+    sources = [x for x in tables if x[:3] == "110"]
+    cycles = [_six_cycle(x, tables[x]) for x in sources]
+    c6_of_edge = {e: idx for idx, c6 in enumerate(cycles) for e in c6}
+    disjoint_ok = len(c6_of_edge) == sum(map(len, cycles))
+    # each walk is dropped after use: keeping them all costs a third more
+    nesting_ok = True
+    m = 4 * n + 2
+    for _, x, table in _round_tables(n, True):
+        if x[:3] in heads:
+            tables[x] = tables[x][:m] + bytes(table)
+        elif _interleaved(_walk(x, _forward_half(table))[0], c6_of_edge):
+            nesting_ok = False
+    endpoints_ok = symdiff_ok = True
+    for x, c6 in zip(sources, cycles):
         y = pair_image(x)
-        table_y = _basic_table(y)
+        table_x, run_x = tables[x][:m], tables[x][m:]
+        table_y, run_y = tables[y][:m], tables[y][m:]
+        if run_x[0] != 3:  # a pair the flips-on walk leaves unjoined
+            table_x, table_y = run_x, run_y
+            run_x, run_y = list(run_x), list(run_y)
+            _pair_round(run_x, True)
+            _pair_round(run_y, False)
         edges_x, end_x = _walk(x, _forward_half(table_x))
         edges_y, end_y = _walk(y, _forward_half(table_y))
-        _pair_round(table_x, True)
-        _pair_round(table_y, False)
-        mod_x, mod_end_x = _walk(x, _forward_half(table_x))
-        mod_y, mod_end_y = _walk(y, _forward_half(table_y))
-        if mod_end_x != end_y or mod_end_y != end_x:
-            endpoints_ok = False
-        if {*edges_x, *edges_y} ^ {*c6} != {*mod_x, *mod_y}:
-            symdiff_ok = False
-        if _interleaved(edges_x, c6_of_edge) or _interleaved(edges_y, c6_of_edge):
-            nesting_ok = False
-    for z in words:
-        if z[:3] not in ("110", "101"):
-            if _interleaved(_walk(z, _forward_half(_basic_table(z)))[0], c6_of_edge):
-                nesting_ok = False
+        mod_x, mod_end_x = _walk(x, _forward_half(run_x))
+        mod_y, mod_end_y = _walk(y, _forward_half(run_y))
+        endpoints_ok &= mod_end_x == end_y and mod_end_y == end_x
+        symdiff_ok &= {*edges_x, *edges_y} ^ {*c6} == {*mod_x, *mod_y}
+        nesting_ok &= not any(_interleaved(e, c6_of_edge) for e in (edges_x, edges_y))
 
     return [
         CheckResult("six-cycle-endpoints", n, endpoints_ok, f"{len(sources)} pairs"),
@@ -459,10 +455,14 @@ def run_checks(n: int) -> list[CheckResult]:
     as a flip stream, and the same walk gives the single-cycle row: when
     every listing row passes at full length and the walk's next step
     lands on the start again, its N distinct vertices are one cycle of
-    the stepping rule, N the vertex count.  Otherwise the flips-on
-    cycles are walked again to report their lengths.  The plane trees
-    are counted by plane_tree_count, the number of flips-off cycles
-    expected; flip_graph enumerates only the pair sources.
+    the stepping rule, N the vertex count.  Otherwise two_factor walks
+    the flips-on cycles again to report their lengths.  Its walks are
+    landed, so the two-factor rows and that fallback count the cycles of
+    sigma on the round starts, from each table's head; the listing rows
+    check the tables' bodies by flipping every step, and the six-cycle
+    rows by walking every word's forward half from the walk's table.
+    The plane trees are counted by plane_tree_count, the number of
+    flips-off cycles expected; flip_graph tests only the pair sources.
     """
     start = default_start(n)
     state = GeneratorState(n)

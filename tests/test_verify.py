@@ -351,6 +351,42 @@ def test_six_cycle_rows_fail_on_a_wrong_target_rule(monkeypatch):
         assert {"six-cycle-endpoints", "six-cycle-symdiff"} <= failing.keys()
 
 
+def test_six_cycle_rows_fail_when_the_walk_keeps_targets_basic(monkeypatch):
+    # only the walk's binding is broken: verify's own _pair_round, which
+    # patches the pairs the walk leaves unjoined, stays intact, so the
+    # rows see the fault only through the tables the walk runs
+    pair_round = hamcycle._pair_round
+
+    def basic_target(seq: list[int], source: bool) -> None:
+        if source:
+            pair_round(seq, source)
+
+    monkeypatch.setattr(hamcycle, "_pair_round", basic_target)
+    assert verify._pair_round is pair_round
+    for n in range(3, 6):
+        failing = _failing(check_six_cycles(n))
+        assert {"six-cycle-endpoints", "six-cycle-symdiff"} <= failing.keys()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walked_rows_scan_one_word_per_cycle(monkeypatch, n):
+    # the two-factor and six-cycle rows read every table off landed
+    # walks: the only scan is each walked cycle's first word
+    scans: list[str] = []
+    locate = hamcycle._locate
+
+    def counted(start: str):
+        scans.append(start)
+        return locate(start)
+
+    monkeypatch.setattr(hamcycle, "_locate", counted)
+    assert sum(two_factor(n, False)) == total_vertices(n)
+    assert len(scans) == plane_tree_count(n)
+    scans.clear()
+    assert all(r.passed for r in check_six_cycles(n))
+    assert len(scans) == plane_tree_count(n) + 1
+
+
 def test_six_cycle_rows_fail_on_a_shared_cycle(monkeypatch):
     # every source given the first source's six-cycle borrows its edges
     six_cycle = verify._six_cycle
