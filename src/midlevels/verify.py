@@ -11,15 +11,15 @@ that format as "CHECK <name> n=<n> PASS|FAIL <detail>".
 Walks are replayed as flip lists on the word's integer value: the
 listing as a stream, each path and six-cycle as its edges.  An edge is
 one int, p << len(x) | lower: the position p it flips above its lower
-word's value.  No vertex is stored as a string.  Only the listing walk
-flips every step: the two-factor and six-cycle rows read landed walks
-from _round_tables, which scans no word but each cycle's first.
+word's value.  No vertex is stored as a string.  No walk flips its
+rounds: run_checks walks each cycle once, landed, through _round_tables,
+which scans no word but each cycle's first.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 from math import comb, gcd, inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -30,7 +30,6 @@ from .hamcycle import (
     _forward_half,
     _pair_round,
     _partner,
-    default_start,
     total_vertices,
 )
 from .trees import _record, canonical_root, pair_image
@@ -138,27 +137,10 @@ def check_listing(n: int, start: str, steps: Iterable[int]) -> list[CheckResult]
     return results
 
 
-def _cycle_steps(state: GeneratorState) -> Iterator[int]:
-    """The flip positions of the next N - 1 steps of state's walk, one
-    fewer than the vertices of a full cycle, N = total_vertices(state.n).
-
-    The state takes one more step, which the stream does not show, so
-    state.buffer ends on the start again if the walk is one cycle through
-    every vertex.  Each round is flipped on the buffer before its steps
-    are read out at C level: the next round is built from where it leads."""
-    buf = state.buffer
-    count = total_vertices(state.n)
-
-    def rounds() -> Iterator[list[int]]:
-        for part in state._passes(count):
-            for p in part:
-                buf[p] ^= 1
-            yield part
-
-    return islice(chain.from_iterable(rounds()), count - 1)
+_Walk = Iterator[tuple[str, str, list[int]]]
 
 
-def _round_tables(n: int, flips: bool) -> Iterator[tuple[str, str, list[int]]]:
+def _round_tables(n: int, flips: bool) -> _Walk:
     """(z, x, table) for each round start x of the stepping rule, with
     the table the walk runs from x and the first word z of x's cycle.
     Each cycle is walked from the first Dyck word z not yet reached, its
@@ -186,7 +168,8 @@ def two_factor(n: int, flips_enabled: bool) -> list[int]:
     the rule decomposes the vertices into one cycle per plane tree; with
     flips enabled they merge into a single cycle.  The cycles are landed
     walks: this counts the cycles of sigma on the round starts, which
-    read only each table's head."""
+    read only each table's head.  run_checks takes the same lengths off
+    the two walks it drives and does not call this."""
     cycles = groupby(_round_tables(n, flips_enabled), itemgetter(0))
     return [sum(len(t) for *_, t in rounds) for _, rounds in cycles]
 
@@ -368,10 +351,17 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     flips-off walk and its modified ones from the flips-on walk; every
     other word takes its table from the flips-on walk, and _pair_round
     patches copies only for the pairs that walk leaves unjoined."""
+    return _six_cycle_rows(n, _round_tables(n, False), _round_tables(n, True))
+
+
+def _six_cycle_rows(n: int, off: _Walk, on: _Walk) -> list[CheckResult]:
+    """check_six_cycles' rows from the flips-off and flips-on walks of
+    _round_tables, each driven to its end, the flips-off walk first;
+    run_checks passes the walks it taps for its other rows."""
     # a pair word's flips-off table, then its flips-on table, in one
     # bytes (every entry is below 256): a list takes eight times more
     heads = ("110", "101")
-    tables = {x: bytes(t) for _, x, t in _round_tables(n, False) if x[:3] in heads}
+    tables = {x: bytes(t) for _, x, t in off if x[:3] in heads}
     sources = [x for x in tables if x[:3] == "110"]
     cycles = [_six_cycle(x, tables[x]) for x in sources]
     c6_of_edge = {e: idx for idx, c6 in enumerate(cycles) for e in c6}
@@ -379,7 +369,7 @@ def check_six_cycles(n: int) -> list[CheckResult]:
     # each walk is dropped after use: keeping them all costs a third more
     nesting_ok = True
     m = 4 * n + 2
-    for _, x, table in _round_tables(n, True):
+    for _, x, table in on:
         if x[:3] in heads:
             tables[x] = tables[x][:m] + bytes(table)
         elif _interleaved(_walk(x, _forward_half(table))[0], c6_of_edge):
@@ -451,35 +441,43 @@ def check_round_orbit(n: int) -> CheckResult:
 def run_checks(n: int) -> list[CheckResult]:
     """All structural checks for one n, each fact derived once.
 
-    The listing-* rows replay the generator's cycle from default_start(n)
-    as a flip stream, and the same walk gives the single-cycle row: when
-    every listing row passes at full length and the walk's next step
-    lands on the start again, its N distinct vertices are one cycle of
-    the stepping rule, N the vertex count.  Otherwise two_factor walks
-    the flips-on cycles again to report their lengths.  Its walks are
-    landed, so the two-factor rows and that fallback count the cycles of
-    sigma on the round starts, from each table's head; the listing rows
-    check the tables' bodies by flipping every step, and the six-cycle
-    rows by walking every word's forward half from the walk's table.
-    The plane trees are counted by plane_tree_count, the number of
-    flips-off cycles expected; flip_graph tests only the pair sources.
+    _round_tables walks each cycle once, flips off and flips on, and both
+    walks feed the six-cycle rows.  A tap on each keeps every cycle's
+    length for the two-factor rows (flips off) and the single-cycle row
+    (flips on), and the flips-on tables, one byte per step, which the
+    listing-* rows replay as a flip stream from the walk's first word:
+    the cycle counts read each landed table's head, the listing and
+    six-cycle rows its body.  A walk that raises gives one FAIL row
+    "walk" naming the exception in place of the rows it feeds.  The
+    plane trees are counted by plane_tree_count, the number of flips-off
+    cycles expected; flip_graph tests only the pair sources.
     """
-    start = default_start(n)
-    state = GeneratorState(n)
-    results = check_listing(n, start, _cycle_steps(state))
-    closed = (
-        results[-1].name == "listing-closure"
-        and all(r.passed for r in results)
-        and state.vertex() == start
-    )
-    results += check_two_factor(n, two_factor(n, False), plane_tree_count(n))
-    lengths = [total_vertices(n)] if closed else two_factor(n, True)
-    ok = lengths == [total_vertices(n)]
-    detail = f"{len(lengths)} cycle(s), lengths {lengths}"
-    results.append(CheckResult("single-cycle", n, ok, detail))
-    results += check_flip_graph(n, flip_graph(n))
-    results += check_six_cycles(n)
-    return results
+    if not 1 <= n <= FULL_GRAPH_CAP:
+        raise ValueError("desk-scale only")
+    lengths: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    steps = bytearray()
+
+    def tap(flips: bool) -> _Walk:
+        cycles = lengths[flips]
+        for z, x, table in _round_tables(n, flips):
+            cycles[z] = cycles.get(z, 0) + len(table)
+            if flips:
+                steps.extend(table)
+            yield z, x, table
+
+    graph = check_flip_graph(n, flip_graph(n))
+    try:
+        six_cycles = _six_cycle_rows(n, tap(False), tap(True))
+    except Exception as e:  # a faulty walk is a failed check, not a crash
+        return [CheckResult("walk", n, False, f"raised {e!r}"), *graph]
+    count = total_vertices(n)
+    del steps[count - 1 :]  # N words; listing-closure checks the step home
+    off, on = (list(cycles.values()) for cycles in lengths)
+    results = check_listing(n, next(iter(lengths[True])) + "0", steps)
+    results += check_two_factor(n, off, plane_tree_count(n))
+    detail = f"{len(on)} cycle(s), lengths {on}"
+    results.append(CheckResult("single-cycle", n, on == [count], detail))
+    return results + graph + six_cycles
 
 
 def run_suite(max_n: int = 6) -> list[CheckResult]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import io
 import tracemalloc
 from contextlib import redirect_stdout
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,6 @@ from midlevels.trees import (
 )
 from midlevels.verify import (
     FULL_GRAPH_CAP,
-    _cycle_steps,
     _interleaved,
     _six_cycle,
     _walk,
@@ -162,10 +161,12 @@ def test_check_listing_memory_stays_below_a_vertex_set():
     # a set of the 48,620 words at n = 8 takes about 2 MiB; one byte per
     # possible word of length 17 takes 128 KiB, and the flips come
     # straight from the generator, one pass at a time
+    steps = total_vertices(8) - 1
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        results = check_listing(8, default_start(8), _cycle_steps(GeneratorState(8)))
+        passes = GeneratorState(8)._passes(steps, True)
+        results = check_listing(8, default_start(8), chain.from_iterable(passes))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -477,45 +478,78 @@ def test_six_cycle_cap():
         check_six_cycles(10)
 
 
-def _spy_two_factor(monkeypatch, flips_on_allowed):
-    calls = []
-
-    def spy(n, flips_enabled):
-        if flips_enabled and not flips_on_allowed:
-            raise AssertionError("the flips-on cycle was walked again")
-        calls.append((n, flips_enabled))
-        return two_factor(n, flips_enabled)
-
-    monkeypatch.setattr(verify, "two_factor", spy)
-    return calls
-
-
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_run_checks_walks_the_flips_on_cycle_once(monkeypatch, n):
-    _spy_two_factor(monkeypatch, flips_on_allowed=False)
+    # every row reads one flips-off and one flips-on walk, which scan
+    # only each walked cycle's first word
+    scans: list[str] = []
+    locate = hamcycle._locate
+
+    def counted(start: str):
+        scans.append(start)
+        return locate(start)
+
+    monkeypatch.setattr(hamcycle, "_locate", counted)
     rows = _by_name(run_checks(n))
     assert all(r.passed for r in rows.values())
+    assert len(scans) == plane_tree_count(n) + 1
     lengths = f"lengths [{total_vertices(n)}]"
     assert rows["single-cycle"].detail == f"1 cycle(s), {lengths}"
 
 
-def test_single_cycle_row_falls_back_when_the_listing_fails(monkeypatch):
-    calls = _spy_two_factor(monkeypatch, flips_on_allowed=True)
+def test_single_cycle_row_reports_the_walks_lengths_when_a_listing_row_fails(
+    monkeypatch,
+):
+    def corrupted(n, start, steps):
+        steps = list(steps)
+        steps[5] = steps[5] % (2 * n + 1) + 1
+        return check_listing(n, start, steps)
 
-    def corrupted(state):
-        steps = list(_cycle_steps(state))
-        steps[5] = steps[5] % (2 * state.n + 1) + 1
-        return iter(steps)
-
-    monkeypatch.setattr(verify, "_cycle_steps", corrupted)
+    monkeypatch.setattr(verify, "check_listing", corrupted)
     n = 3
     rows = _by_name(run_checks(n))
     listing = [r for name, r in rows.items() if name.startswith("listing-")]
     assert not all(r.passed for r in listing)
-    assert (n, True) in calls
     single = rows["single-cycle"]
     assert single.passed
     assert single.detail == f"1 cycle(s), lengths [{total_vertices(n)}]"
+
+
+def test_run_checks_reports_wrong_landings_as_failed_rows(monkeypatch, capsys):
+    # stand-ins for hamcycle._round_end, which lands 1u0v on u1v0 after
+    # swapping bits 2 and 3 of a pair target
+    def no_target_swap(buf, seq):
+        b = seq[0]
+        del buf[1]
+        buf[b - 1] = 49
+        buf.insert(-1, 48)
+
+    def one_too_far(buf, seq):
+        b = seq[0]
+        if seq[3] != 2:
+            buf[2], buf[3] = 49, 48
+        del buf[1]
+        buf[b] = 49
+        buf.insert(-1, 48)
+
+    # without the swap the tables stay right, but the walk's round starts
+    # leave the Dyck words and its cycles close early
+    monkeypatch.setattr(hamcycle, "_round_end", no_target_swap)
+    for n in range(3, 7):
+        assert "single-cycle" in _failing(run_checks(n))
+    # one place too far, the walk breaks: a FAIL row names the exception
+    monkeypatch.setattr(hamcycle, "_round_end", one_too_far)
+    for n in range(2, 7):
+        assert _failing(run_checks(n))
+    walk = _failing(run_checks(3))["walk"]
+    assert walk.startswith("raised IndexError(")
+    assert main(["verify", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in out if line.startswith("CHECK walk")] == [
+        "n=3",
+        "n=4",
+    ]
+    assert out[-1].startswith("CHECK flip-graph-monotone n=4 PASS")
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -586,6 +620,8 @@ def test_run_suite_small():
     for max_n in (0, FULL_GRAPH_CAP + 1):
         with pytest.raises(ValueError):
             run_suite(max_n)
+        with pytest.raises(ValueError):
+            run_checks(max_n)
 
 
 def test_run_suite_is_a_lazy_package_attribute():
