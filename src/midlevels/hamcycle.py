@@ -195,15 +195,16 @@ def _partner(y: str) -> bool:
     return is_flip_tree(y) if hit is None else hit
 
 
-def forward_sequence(x: str, flips: bool = True) -> list[int]:
+def forward_sequence(x: str) -> list[int]:
     """Flip sequence of the forward half from first vertex x.
 
-    It is read off the round the walk runs from x: with flips enabled, a
-    pair word's table patched into its pair round, else the basic table.
-    The generator does not call this: it walks whole round tables.
+    It is read off the round the walk runs from x: a pair word's table
+    patched into its pair round, else the basic table, whose forward half
+    is flipseq.flip_sequence(x).  The generator does not call this: it
+    walks whole round tables.
     """
     seq = _basic_table(x)
-    if flips and _partner(x):
+    if _partner(x):
         _pair_round(seq, x[1] == "1")
     return _forward_half(seq)
 
@@ -282,10 +283,12 @@ class GeneratorState:
     A start vertex is read once, by one bracket scan, into the first
     vertex of the basic round it lies on, that word's basic table and
     the start's index in it, and the cursor keeps that table but where
-    the module's resume rule puts a pair round.
+    the module's resume rule puts a pair round.  flips is the one setting
+    of the joining flips: with it off, no pair round is taken and the
+    cursor stays on the shorter cycle through its start.
     """
 
-    __slots__ = ("n", "flips", "last_flip", "_buf", "_seq", "_k", "_i0", "_end")
+    __slots__ = ("flips", "last_flip", "_buf", "_seq", "_k", "_i0", "_end")
 
     def __init__(self, n: int, start: str | None = None, flips: bool = True):
         if n < 1:
@@ -296,7 +299,6 @@ class GeneratorState:
         # _locate counts the bits of the word, the top bit included
         if len(start) != size:
             raise ValueError("not a middle-levels word")
-        self.n = n
         self.flips = flips
         self.last_flip: int | None = None
         self._end = 2 * size - 1
@@ -407,14 +409,14 @@ class GeneratorState:
         return self._buf[1:].decode()
 
 
-def init(n: int, x: str, flips: bool = True) -> tuple[GeneratorState, list[str]]:
-    """Start at x and run to the start of the next round.
+def init(n: int, x: str) -> tuple[GeneratorState, list[str]]:
+    """Start at x and run up to the first round start at or after x.
 
-    Returns (state, visited): visited begins with x and ends with the
-    first vertex of the next round; state.i == len(visited).  At most one
-    round of 4n+2 visits.
+    Returns (state, visited): visited begins with x and ends with that
+    round start, so it is [x] when x starts a round; state.i ==
+    len(visited).  At most one round of 4n+2 visits.
     """
-    state = GeneratorState(n, x, flips)
+    state = GeneratorState(n, x)
     visited = [state.vertex()]
     while not state.at_first_vertex:
         next(state)
@@ -427,7 +429,6 @@ def ham_cycle(
     x: str,
     count: int,
     sink: Callable[[bytearray], object],
-    flips: bool = True,
 ) -> None:
     """Emit count consecutive vertices starting at x into sink.
 
@@ -437,7 +438,7 @@ def ham_cycle(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    state = GeneratorState(n, x, flips)
+    state = GeneratorState(n, x)
     buf = state.buffer
     sink(buf)
     for part in state._passes(count - 1):
@@ -447,17 +448,14 @@ def ham_cycle(
 
 
 def generate(
-    n: int,
-    start: str | None = None,
-    count: int | None = None,
-    flips: bool = True,
+    n: int, start: str | None = None, count: int | None = None
 ) -> Iterator[str]:
     """Yield vertices as strings; count defaults to one full cycle."""
+    state = GeneratorState(n, start)
     if count is None:
         count = total_vertices(n)
     if count < 1:
         raise ValueError("count must be at least 1")
-    state = GeneratorState(n, start, flips)
     buf = state.buffer
     yield buf[1:].decode()
     for part in state._passes(count - 1):

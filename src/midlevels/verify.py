@@ -162,15 +162,14 @@ def _round_tables(n: int, flips: bool) -> _Walk:
             yield z, x, table
 
 
-def two_factor(n: int, flips_enabled: bool) -> list[int]:
-    """Lengths of the cycles of the stepping rule over the whole vertex
-    set, each the sum of its rounds' table lengths.  With flips disabled
-    the rule decomposes the vertices into one cycle per plane tree; with
-    flips enabled they merge into a single cycle.  The cycles are landed
-    walks: this counts the cycles of sigma on the round starts, which
-    read only each table's head.  run_checks takes the same lengths off
-    the two walks it drives and does not call this."""
-    cycles = groupby(_round_tables(n, flips_enabled), itemgetter(0))
+def two_factor(n: int) -> list[int]:
+    """Lengths of the cycles of the stepping rule without the joining
+    flips, each the sum of its rounds' table lengths: one cycle per
+    plane tree, together covering the whole vertex set.  The cycles are
+    landed walks: this counts the cycles of sigma on the round starts,
+    which read only each table's head.  run_checks takes the same
+    lengths off its own flips-off walk and does not call this."""
+    cycles = groupby(_round_tables(n, False), itemgetter(0))
     return [sum(len(t) for *_, t in rounds) for _, rounds in cycles]
 
 

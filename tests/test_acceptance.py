@@ -97,7 +97,7 @@ def test_c3_two_factor_structure():
     ok = True
     got = {}
     for n, want in want_counts.items():
-        lengths = two_factor(n, False)
+        lengths = two_factor(n)
         got[n] = len(lengths)
         if len(lengths) != want:
             ok = False

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 from pathlib import Path
 
@@ -150,13 +151,28 @@ def test_forward_sequence_selects_the_modified_rules():
     assert forward_sequence("110010") == [3, 1]
     assert forward_sequence("101010") == [4, 1, 2, 3, 1, 2]
     assert forward_sequence("111000") == [6, 1, 5, 2, 4, 3, 2, 4, 1, 5]
-    # disabling flips always walks the basic sequence
-    assert forward_sequence("110010", flips=False) == [4, 1, 3, 2, 1, 3]
-    assert forward_sequence("101010", flips=False) == [2, 1]
+    # without the joining flips every word walks the basic sequence
+    assert flip_sequence("110010") == [4, 1, 3, 2, 1, 3]
+    assert flip_sequence("101010") == [2, 1]
     for n in range(1, 8):
         for x in dyck_words(n):
-            for flips in (False, True):
-                assert forward_sequence(x, flips) == forward_pass_by_rules(x, flips)
+            assert forward_sequence(x) == forward_pass_by_rules(x, True)
+            assert flip_sequence(x) == forward_pass_by_rules(x, False)
+
+
+def test_entry_points_take_no_flips_switch():
+    # the joining flips are one cursor setting: GeneratorState(..., flips)
+    from midlevels.verify import two_factor
+
+    def params(f):
+        return tuple(inspect.signature(f).parameters)
+
+    assert params(init) == ("n", "x")
+    assert params(ham_cycle) == ("n", "x", "count", "sink")
+    assert params(generate) == ("n", "start", "count")
+    assert params(forward_sequence) == ("x",)
+    assert params(two_factor) == ("n",)
+    assert "n" not in GeneratorState.__slots__
 
 
 def test_state_validates_input():
@@ -168,8 +184,8 @@ def test_state_validates_input():
         GeneratorState(2, "11111")
     with pytest.raises(ValueError):
         GeneratorState(2, "11x00")
-    # the constructor checks the length and the last character, and
-    # path_first_vertex the rest, down either pass's branch
+    # the constructor checks the length, and _locate the rest, down
+    # either branch of the last character
     for bad in ["1100x", "1x001", "00001"]:
         with pytest.raises(ValueError, match="not a middle-levels word"):
             GeneratorState(2, bad)
@@ -867,7 +883,8 @@ def test_init_agrees_with_the_full_cycle():
 
 def test_disabling_flips_leaves_short_cycles():
     # the round from 1110000 returns after 42 visits when n = 3
-    listing = list(generate(3, "1110000", count=43, flips=False))
+    state = GeneratorState(3, "1110000", flips=False)
+    listing = [state.vertex()] + [next(state)[1:].decode() for _ in range(42)]
     assert listing[42] == listing[0]
     assert len(set(listing[:42])) == 42
 
@@ -891,3 +908,7 @@ def test_generate_count_handling():
     assert len(list(generate(2, count=7))) == 7
     with pytest.raises(ValueError):
         list(generate(2, count=0))
+    # n is checked before it sizes the default count
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            list(generate(n))

@@ -188,19 +188,14 @@ def test_check_listing_rejects_a_malformed_start():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_two_factor_without_flips(n):
-    lengths = two_factor(n, False)
+    lengths = two_factor(n)
     assert len(lengths) == PLANE_TREE_COUNTS[n]
     assert sum(lengths) == total_vertices(n)
     assert all(length % (4 * n + 2) == 0 for length in lengths)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_two_factor_with_flips_is_one_cycle(n):
-    assert two_factor(n, True) == [total_vertices(n)]
-
-
 def test_two_factor_rows_flag_a_short_cycle():
-    a, b = two_factor(3, False)
+    a, b = two_factor(3)
     moved = [a - 1, b + 1]
     rows = _by_name(check_two_factor(3, moved, 2))
     assert rows["two-factor-count"].passed  # same count, same total
@@ -214,7 +209,7 @@ def test_two_factor_memory_stays_below_the_cycles():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lengths = two_factor(8, False)
+        lengths = two_factor(8)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -224,9 +219,9 @@ def test_two_factor_memory_stays_below_the_cycles():
 
 def test_two_factor_respects_the_cap():
     with pytest.raises(ValueError):
-        two_factor(10, False)
+        two_factor(10)
     with pytest.raises(ValueError):
-        two_factor(0, False)
+        two_factor(0)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -381,7 +376,7 @@ def test_walked_rows_scan_one_word_per_cycle(monkeypatch, n):
         return locate(start)
 
     monkeypatch.setattr(hamcycle, "_locate", counted)
-    assert sum(two_factor(n, False)) == total_vertices(n)
+    assert sum(two_factor(n)) == total_vertices(n)
     assert len(scans) == plane_tree_count(n)
     scans.clear()
     assert all(r.passed for r in check_six_cycles(n))
