@@ -11,30 +11,34 @@ top bit down.  The round is one flip list,
 
 for b the position of the 0 closing x's first run, where P lists one
 pair per position p, in order: (q, p) if p opens a run closing at q,
-and (q - 1, p) if p closes one opened at q.  It lists each
-position p = 1, ..., 2n+1 in order, after p's entry; v is read as the
-inside of a virtual run (b, 2n+1).  The next round starts at the
-rotation u1v0, so its list is this one shifted left by one entry pair,
-less one: every matched pair of x but (1, b) moves one position left,
-and the virtual pair becomes the new word's pair (b-1, 2n).  Only the
-entries of 2n+1 and of the new first close are set anew.  A pair word's
-round is its table with the entries of at most five positions patched,
-and a pair target's round is shifted as the table of its source, whose
-basic round ends on the same vertex.  A resume installs a whole round
-table too, so every round start is a shift and only the constructor
-scans a word.  Round starts are the only points where any O(n)
-bookkeeping happens, so the amortized cost per visit is constant and
-the working set stays O(n).
+and (q - 1, p) if p closes one opened at q.  It lists each position
+p = 1, ..., 2n+1 in order, after p's entry; v is read as the inside of
+a virtual run (b, 2n+1).  The next round starts at the rotation u1v0,
+so its list is this one shifted left by one entry pair, less one: every
+matched pair of x but (1, b) moves one position left, and the virtual
+pair becomes the new word's pair (b-1, 2n).  Only the entries of 2n+1
+and of the new first close are set anew.  A pair word's round is its
+table with at most five positions' entries patched.  A resume installs
+a whole round table too, so every round start is a shift and only the
+constructor scans a word.  Round starts are the only points where any
+O(n) bookkeeping happens, so the amortized cost per visit is constant
+and the working set stays O(n).
+
+A pair target y = 101w0v differs from its source x = 110w0v in bits 2
+and 3, and y's pair round [b, 1, 2, 3, 1, 2] walks x's first six
+vertices in reverse: it is x's basic table [b, 1, 3, 2, 1, 3] with the
+positions 2 and 3 exchanged in slots 2, 3 and 5, every later slot the
+same.  _exchange maps either table to the other, for a resume on x's
+path and for the round start after y's round, which shifts x's table,
+as x's basic round ends on the same vertex.
 
 So the round from x ends on sigma(x) = rot(pi(x)), for rot(1u0v) = u1v0
-and pi the swap of a pair source 110w0v with its target 101w0v, and
-_round_end lands there from the table's head, in three byte moves from
-its first entry b: drop x's first bit, set the bit at b - 1 and put a 0
-before the top bit.  A pair source's b is 3, and the moves give 11w0v0,
-its target's rotation.  A pair target's round [b, 1, 2, 3, 1, 2] is the
-one table that lists 3 where every other lists position 2; its bits 2
-and 3 are swapped to its source 110w0v first, which then rotates with
-that b, the close of the run at 3.  Any other x rotates with its own b.
+and pi the exchange of bits 2 and 3 of a pair word, and _round_end
+lands there from the table's head, in three byte moves from its first
+entry b: drop x's first bit, set the bit at b - 1 and put a 0 before
+the top bit.  A source's b is 3, and the moves give 11w0v0, its
+target's rotation; a target's round, the one table with 3 in slot 3,
+lands as its source's with the same b.  Any other x uses its own b.
 
 The package's own drivers take the walk a round at a time, as flip
 lists from _passes, and the public cursor one vertex per call.  Every
@@ -56,13 +60,13 @@ basic table holds it, its index t in that table and the table itself
 (`_locate`): x is the start with its unmatched bits flipped, one of them
 dropped by the start's weight, and a 1 put in front.  A resume keeps
 that table but at a pair word's first vertex, which takes its pair
-round, and at steps t = 1 to 5 of a pair source's path, which its
-target's pair round visits in reverse, at index 6 - t.  Elsewhere the
-basic table lists the walk's flips from the start on: a backward half
-is the same in every round through it, a source's basic table lists
-its target's pair round from step 6, a target's its source's from
-step 1, and the next round start shifts either table to the same next
-one.  Every start yields the same cyclic listing, merely rotated.
+round, and at steps t = 1 to 5 of a pair source's path, which exchange
+it into the target's pair round at index 6 - t: every resume is that
+one scan.  Elsewhere the basic table lists the walk's flips from the
+start on (a backward half is the same in every round through it, and a
+target's basic table lists its source's pair round from step 1), and
+the next round start shifts it to the same next table.  Every start
+yields the same cyclic listing, merely rotated.
 """
 
 from __future__ import annotations
@@ -245,6 +249,11 @@ def _pair_round(seq: list[int], source: bool) -> None:
         seq[2 * b - 2], seq[-2] = top, b - 1
 
 
+def _exchange(seq: list[int]) -> None:
+    """Map a pair source's basic table to its target's pair round, or back."""
+    seq[2], seq[3], seq[5] = seq[3], seq[2], seq[3]
+
+
 def _round_end(buf: bytearray, seq: list[int]) -> None:
     """Move buf from a round's first vertex to the vertex the round ends
     on, the next round's first vertex, by the round-end rule of the
@@ -254,7 +263,7 @@ def _round_end(buf: bytearray, seq: list[int]) -> None:
     bit 0; seq is the round's whole table, which is read, not changed.
     """
     b = seq[0]
-    if seq[3] != 2:  # a pair target's round, [b, 1, 2, 3, 1, 2]
+    if seq[3] != 2:  # a pair target's round: land it as its source
         buf[2], buf[3] = 49, 48
     # 1u0v to u1v0, the top bit 0 kept
     del buf[1]
@@ -280,12 +289,11 @@ class GeneratorState:
     this one: a list that _passes yields must not be mutated.  i is k
     plus an offset that a step moves by 4n+2 when it ends a round.
 
-    A start vertex is read once, by one bracket scan, into the first
-    vertex of the basic round it lies on, that word's basic table and
-    the start's index in it, and the cursor keeps that table but where
-    the module's resume rule puts a pair round.  flips is the one setting
-    of the joining flips: with it off, no pair round is taken and the
-    cursor stays on the shorter cycle through its start.
+    A start is read once, by one bracket scan, into the first vertex of
+    its basic round, that word's basic table, which the module's resume
+    rule may turn into a pair round, and the start's index in it.  flips
+    is the one setting of the joining flips: with it off, no pair round
+    is taken and the cursor stays on the shorter cycle through its start.
     """
 
     __slots__ = ("flips", "last_flip", "_buf", "_seq", "_k", "_i0", "_end")
@@ -307,13 +315,12 @@ class GeneratorState:
             self._start_backward(start)
             return
         y, t, seq = _locate(start)
-        if flips and (not t or t < 6 and y[:3] == "110") and _partner(y):
-            if t:
-                # steps 1 to 5 of a source's path are steps 5 to 1 of its
-                # target's pair round
-                y, t = "101" + y[3:], 6 - t
-                seq = _basic_table(y)
+        if flips and not t and _partner(y):
             _pair_round(seq, y[1] == "1")
+        elif flips and 0 < t < 6 and y[:3] == "110" and _partner(y):
+            # a source's steps 1 to 5 are its target's pair round's 5 to 1
+            _exchange(seq)
+            t = 6 - t
         self._seq, self._k, self._i0 = seq, t, 1 - t
 
     def __iter__(self) -> GeneratorState:
@@ -367,15 +374,11 @@ class GeneratorState:
     def _start_forward(self) -> None:
         # the buffer holds a round's first vertex x and the top bit 0
         buf = self._buf
-        prev = self._seq
         self._k = 0
-        self._seq = seq = prev[:]
-        seq[:-2:2] = [e - 1 for e in prev[2::2]]
-        if prev[3] != 2:
-            # a pair target's round: shift its source's table, which
-            # has entry 3 at 2 and the positions 2 and 3 in order
-            seq[0] = seq[3] = 2
-            seq[5] = 3
+        self._seq = seq = self._seq[:]
+        if seq[3] != 2:  # a pair target's round: shift its source's table
+            _exchange(seq)
+        seq[:-2:2] = [e - 1 for e in seq[2::2]]
         b = seq[0]
         seq[2 * b - 2], seq[-2] = len(buf) - 1, b - 1
         # x starts 110 or 101, as pair words do, only if bits 2 and 3 differ

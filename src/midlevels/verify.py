@@ -245,12 +245,9 @@ def tree_signature(x: str) -> tuple[int, int, int]:
     parent = _record(x)[0]
     deg = _degrees(parent)
     leaves = [v for v, d in enumerate(deg) if d == 1]
-    if len(leaves) == len(deg):
-        # single edge: both ends are leaves, no interior at all
-        return len(leaves), 0, max(deg)
     # the skeleton is the tree minus its leaves; a leaf is terminal when
-    # its one neighbour (vertex 1 for a leaf root) is a leaf of the
-    # skeleton, a non-leaf with at most one non-leaf neighbour
+    # its one neighbour (vertex 1 for a leaf root) has at most one
+    # non-leaf neighbour: a leaf of the skeleton, or a single edge's end
     inner = [0] * len(deg)
     for v in range(1, len(deg)):
         p = parent[v]

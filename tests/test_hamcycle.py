@@ -351,24 +351,38 @@ def _spy_on_scans(monkeypatch) -> list[int]:
 
 
 def test_every_start_vertex_resumes_the_same_cycle(monkeypatch):
-    # a resume at any vertex installs a whole round table, so the next
-    # two rounds follow the listing with every round start a shift of
-    # the table before: nothing scans a word once the constructor is done
+    # a resume at any vertex installs a whole round table from one scan
+    # of the start, so the next two rounds follow the listing with every
+    # round start a shift of the table before: nothing scans a word
+    # once the constructor's one scan is done
     scans = _spy_on_scans(monkeypatch)
     for n in range(1, 7):
         canonical = list(generate(n))
         size = len(canonical)
         span = 2 * (4 * n + 2)
         for i, start in enumerate(canonical):
-            state = GeneratorState(n, start)
-            assert len(state._seq) == 4 * n + 2
             scans.clear()
+            state = GeneratorState(n, start)
+            assert scans == [1], start
+            assert len(state._seq) == 4 * n + 2
             got = [next(state)[1:].decode() for _ in range(span)]
-            assert scans == []
+            assert scans == [1]
             assert len(state._seq) == 4 * n + 2
             assert got == [canonical[(i + j) % size] for j in range(1, span + 1)]
             if n == 3:
                 assert is_rotation(list(generate(n, start)), canonical)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_every_vertex_of_a_larger_cycle_resumes_its_round(n):
+    # past n = 6 no walk runs from every start: instead each vertex of
+    # one cycle resumes, and must hold the walk's table from its index on
+    walk = GeneratorState(n, default_start(n))
+    for _ in range(total_vertices(n)):
+        resumed = GeneratorState(n, walk.vertex())
+        assert resumed._seq[resumed._k :] == walk._seq[walk._k :], walk.vertex()
+        next(walk)
+    assert walk.vertex() == default_start(n)
 
 
 @pytest.mark.parametrize("n", [10, 37, 200])
@@ -581,6 +595,23 @@ def test_large_pair_rounds_patch_the_basic_table(start):
     _, x, _ = start
     assume(hamcycle._partner(x))
     assert _patched_round(x) == _round_oracle(x, True)
+
+
+def test_the_exchange_maps_each_source_table_to_its_target_round():
+    # a target y = 101w0v's pair round walks its source x = 110w0v's
+    # first six vertices in reverse: its table is x's basic table with
+    # positions 2 and 3 exchanged, and exchanging again gives x's back;
+    # the tables do not ask the flip-tree test, so every 110w0v is tried
+    sources = [x for n in range(1, 10) for x in dyck_words(n) if x[:3] == "110"]
+    assert len(sources) == 2055
+    for x in sources:
+        seq = hamcycle._basic_table(x)
+        target = hamcycle._basic_table("101" + x[3:])
+        hamcycle._pair_round(target, False)
+        hamcycle._exchange(seq)
+        assert seq == target, x
+        hamcycle._exchange(seq)
+        assert seq == hamcycle._basic_table(x), x
 
 
 def _unrotate(x: str) -> str:
