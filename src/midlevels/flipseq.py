@@ -43,9 +43,9 @@ def flip_sequence(x: str) -> list[int]:
     return _forward_half(_basic_table(x))
 
 
-def _pair_half(x: str, source: bool) -> list[int]:
+def _pair_half(x: str) -> list[int]:
     seq = _basic_table(x)
-    _pair_round(seq, source)
+    _pair_round(seq)
     return _forward_half(seq)
 
 
@@ -57,7 +57,7 @@ def pair_source_sequence(x: str) -> list[int]:
     """
     if x[:3] != "110":
         raise ValueError("not in tau domain")
-    return _pair_half(x, True)
+    return _pair_half(x)
 
 
 def pair_target_sequence(y: str) -> list[int]:
@@ -68,4 +68,4 @@ def pair_target_sequence(y: str) -> list[int]:
     """
     if y[:3] != "101":
         raise ValueError("not in tau image")
-    return _pair_half(y, False)
+    return _pair_half(y)

@@ -55,18 +55,17 @@ patterns of `trees.flip_tree_by_pattern` first, and `is_flip_tree`,
 which builds a tree record, only where they leave the source open.
 
 `GeneratorState` can start at any vertex.  One bracket scan of the
-start, for either top bit, gives the first vertex x of the round whose
-basic table holds it, its index t in that table and the table itself
-(`_locate`): x is the start with its unmatched bits flipped, one of them
-dropped by the start's weight, and a 1 put in front.  A resume keeps
-that table but at a pair word's first vertex, which takes its pair
-round, and at steps t = 1 to 5 of a pair source's path, which exchange
-it into the target's pair round at index 6 - t: every resume is that
-one scan.  Elsewhere the basic table lists the walk's flips from the
-start on (a backward half is the same in every round through it, and a
-target's basic table lists its source's pair round from step 1), and
-the next round start shifts it to the same next table.  Every start
-yields the same cyclic listing, merely rotated.
+start, for either top bit, builds the basic table of the round that
+holds it and finds its index t there (`_locate`), and a resume builds
+nothing else: the round's first vertex x is read off the table, by
+undoing its first t flips (`_first_vertex`), only where the pair rules
+ask, on top bit 0 with the flips on and t < 6.  A pair word's x takes
+its pair round, and a source's steps t = 1 to 5 are its target's pair
+round's 6 - t, by the exchange.  Elsewhere the basic table lists the
+walk's flips from the start on (a backward half is the same in every
+round through it, and a target's basic table lists its source's pair
+round from step 1), and the next round start shifts it to the same
+next table.  Every start yields the same cyclic listing, merely rotated.
 """
 
 from __future__ import annotations
@@ -102,14 +101,15 @@ def path_first_vertex(z: str) -> tuple[str, int]:
     z is a word of length 2n and weight n or n+1.  The result is (y, t):
     y is the Dyck word whose walk under flip_sequence visits z, and z is
     the word after the first t flips of that walk.  It is _locate read
-    at the vertex z0, less the table.
+    at the vertex z0, with y read back off the table.
     """
-    return _locate(z + "0")[:2]
+    t, seq = _locate(z + "0")
+    return _first_vertex(z, seq, t), t
 
 
-def _locate(start: str) -> tuple[str, int, list[int]]:
-    """The first vertex x of the round whose basic table holds the vertex
-    start, the index k of start in that table, and the table.
+def _locate(start: str) -> tuple[int, list[int]]:
+    """The basic table of the round holding the vertex start, from its
+    first vertex x, and the index k of start in it, as (k, table).
 
     One scan of z = start[:-1], '1' opening and '0' closing, finds its
     unmatched zeros, the first arrivals at the levels below 0, and its
@@ -124,12 +124,12 @@ def _locate(start: str) -> tuple[str, int, list[int]]:
     at position d dropped and a 1 put in front, and k = 2d - heavy,
     heavy = weight - n: the bit dropped is the last unmatched zero on
     weight n and the first unmatched one on weight n+1.  The backward
-    half of x's round is a
-    basic path mirrored, which swaps the unmatched zeros with the ones
-    and reverses their order, so top bit 1 keeps both rules but one: its
-    first unmatched zero closes x's first run and is not flipped.  A
-    Dyck z is x itself, with k = 0, on top bit 0; on top bit 1, z = u1v0
-    is the last vertex of the round from x = 1u0v, with k = 4n+1.
+    half of x's round is a basic path mirrored, which swaps the
+    unmatched zeros with the ones and reverses their order, so top bit 1
+    keeps both rules but one: its first unmatched zero closes x's first
+    run and is not flipped.  A Dyck z is x itself, with k = 0, on top
+    bit 0; on top bit 1, z = u1v0 is the last vertex of the round from
+    x = 1u0v, with k = 4n+1.  x is not built (see _first_vertex).
 
     x's matched pairs are z's, so the scan writes their table entries
     as it pops them, numbered as if no bit were dropped; the entries
@@ -142,12 +142,11 @@ def _locate(start: str) -> tuple[str, int, list[int]]:
     if not n or heavy not in (0, 1) or start.count("0") != n + 1 - heavy:
         raise ValueError("not a middle-levels word")
     size = 2 * n + 1
-    codes = start[:-1].encode()
     # e[i] is the entry of x's position i+1, which the scan fills for
     # z's position i
     e = [0] * size
     opened, zeros = [], []
-    for i, c in enumerate(codes, 1):
+    for i, c in enumerate(start[:-1].encode(), 1):
         if c == 49:  # '1'
             opened.append(i)
         elif opened:
@@ -158,21 +157,10 @@ def _locate(start: str) -> tuple[str, int, list[int]]:
             zeros.append(i)
     top = start[-1] == "1"
     if not (opened or zeros):
-        # z is a Dyck word, and j opens its last run
-        if top:
-            # d = 2n+1: nothing moves, and k = 4n+1
-            x, d, b = f"1{start[: j - 1]}0{start[j:-2]}", size, j + 1
-        else:
-            x, d, b = start[:-1], 0, e[1] - 1
+        # z is a Dyck word, and e[-1] opens its last run
+        d, b = (size, e[-1] + 1) if top else (0, e[1] - 1)
     else:
-        bits = bytearray(codes)
-        for i in opened:
-            bits[i - 1] = 48  # '0'
-        for i in zeros[top:]:
-            bits[i - 1] = 49  # '1'
         d = opened.pop(0) if heavy else zeros.pop()
-        del bits[d - 1]
-        x = "1" + bits.decode()
         b = zeros.pop(0) + 1 if top else opened.pop()
         for i, j in zip(reversed(zeros), opened):
             e[i] = j
@@ -182,7 +170,16 @@ def _locate(start: str) -> tuple[str, int, list[int]]:
     seq = [0] * (2 * size)
     seq[::2] = e
     seq[1::2] = range(1, size + 1)
-    return x, 2 * d - heavy, seq
+    return 2 * d - heavy, seq
+
+
+def _first_vertex(z: str, seq: list[int], k: int) -> str:
+    """The first vertex of the round table seq: z, a start without its
+    top bit at index k of seq's forward half, with those k flips undone."""
+    bits = bytearray(z.encode())
+    for p in seq[:k]:
+        bits[p - 1] ^= 1
+    return bits.decode()
 
 
 def _partner(y: str) -> bool:
@@ -209,7 +206,7 @@ def forward_sequence(x: str) -> list[int]:
     """
     seq = _basic_table(x)
     if _partner(x):
-        _pair_round(seq, x[1] == "1")
+        _pair_round(seq)
     return _forward_half(seq)
 
 
@@ -217,7 +214,7 @@ def _basic_table(z: str) -> list[int]:
     """The basic round table of the Dyck word z, from z's own scan.
     Raises ValueError unless z is a Dyck word, the one word that _locate
     puts at index 0 of its table."""
-    _, k, seq = _locate(z + "0")
+    k, seq = _locate(z + "0")
     if k:
         raise ValueError("not a Dyck word")
     return seq
@@ -228,19 +225,19 @@ def _forward_half(seq: list[int]) -> list[int]:
     return seq[: seq.index(len(seq) // 2)]
 
 
-def _pair_round(seq: list[int], source: bool) -> None:
-    """Patch seq, the round table of a pair word, into its pair round.
+def _pair_round(seq: list[int]) -> None:
+    """Patch seq, a pair word's basic round table, into its pair round.
 
-    A source x = 110w0v walks [3, 1] to 011w0v, so its backward half
-    reads 1w0v from position 3 inside a virtual run opened at 2: the
-    entries of 1, 2, 3, of the close b of x's first run and of 2n+1
-    change.  A target y = 101w0v walks [b, 1, 2, 3, 1, 2], b the close
-    of the run at 3, and then w as in its table: the flips before w
-    change, and b and 2n+1 take the entries of a first close b.
+    A target y = 101w0v has b = 2, a source x = 110w0v b >= 4.  x walks
+    [3, 1] to 011w0v, so its backward half reads 1w0v from position 3
+    inside a virtual run opened at 2: the entries of 1, 2, 3, of x's b
+    and of 2n+1 change.  y walks [b, 1, 2, 3, 1, 2], b the close of the
+    run at 3, and then w as in its table: the flips before w change, and
+    b and 2n+1 take the entries of a first close b.
     """
     top = len(seq) // 2
-    if source:
-        b = seq[0]
+    b = seq[0]
+    if b != 2:
         seq[0], seq[2], seq[4], seq[2 * b - 2], seq[-2] = 3, top, b, 2, 1
     else:
         b = seq[4]
@@ -289,11 +286,11 @@ class GeneratorState:
     this one: a list that _passes yields must not be mutated.  i is k
     plus an offset that a step moves by 4n+2 when it ends a round.
 
-    A start is read once, by one bracket scan, into the first vertex of
-    its basic round, that word's basic table, which the module's resume
-    rule may turn into a pair round, and the start's index in it.  flips
-    is the one setting of the joining flips: with it off, no pair round
-    is taken and the cursor stays on the shorter cycle through its start.
+    A start is read once, by one bracket scan, into the basic table of
+    its round and its index there, and the module's resume rule may turn
+    the table into a pair round.  flips is the one setting of the joining
+    flips: with it off, no pair round is taken and the cursor stays on
+    the shorter cycle through its start.
     """
 
     __slots__ = ("flips", "last_flip", "_buf", "_seq", "_k", "_i0", "_end")
@@ -314,13 +311,16 @@ class GeneratorState:
         if start[-1] != "0":
             self._start_backward(start)
             return
-        y, t, seq = _locate(start)
-        if flips and not t and _partner(y):
-            _pair_round(seq, y[1] == "1")
-        elif flips and 0 < t < 6 and y[:3] == "110" and _partner(y):
-            # a source's steps 1 to 5 are its target's pair round's 5 to 1
-            _exchange(seq)
-            t = 6 - t
+        t, seq = _locate(start)
+        # the pair rules read x only at x and at a source's steps 1 to 5,
+        # whose table does not open with a target's b = 2
+        ask = flips and t < 6 and (not t or seq[0] != 2)
+        if ask and _partner(_first_vertex(start[:-1], seq, t)):
+            if not t:
+                _pair_round(seq)
+            else:  # a source's steps 1 to 5, its target's pair round's 5 to 1
+                _exchange(seq)
+                t = 6 - t
         self._seq, self._k, self._i0 = seq, t, 1 - t
 
     def __iter__(self) -> GeneratorState:
@@ -383,13 +383,13 @@ class GeneratorState:
         seq[2 * b - 2], seq[-2] = len(buf) - 1, b - 1
         # x starts 110 or 101, as pair words do, only if bits 2 and 3 differ
         if self.flips and buf[2] != buf[3] and _partner(buf[1:-1].decode()):
-            _pair_round(seq, buf[2] == 49)
+            _pair_round(seq)
 
     def _start_backward(self, start: str) -> None:
         # start lies in the backward half of a round that ends on u1v0,
         # which depends only on u01v: the cursor keeps the basic table of
         # x = 1u0v, by the resume rule, and never walks its forward half
-        _, k, self._seq = _locate(start)
+        k, self._seq = _locate(start)
         self._k, self._i0 = k, 1 - k
 
     @property

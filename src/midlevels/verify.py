@@ -59,6 +59,10 @@ FULL_GRAPH_CAP = 9
 TREE_GRAPH_CAP = 12
 
 
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)  # C_n, the number of Dyck words with n ones
+
+
 class CheckResult(NamedTuple):
     name: str
     n: int
@@ -216,16 +220,13 @@ def plane_tree_count(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
 
-    def cat(k: int) -> int:
-        return comb(2 * k, k) // (k + 1)
-
     def totient(m: int) -> int:
         return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    total = sum(totient(n // d) * comb(2 * d, d) for d in divisors) - n * cat(n)
+    total = sum(totient(n // d) * comb(2 * d, d) for d in divisors) - n * _catalan(n)
     if n % 2:
-        total += n * cat((n - 1) // 2)
+        total += n * _catalan((n - 1) // 2)
     return total // (2 * n)
 
 
@@ -378,8 +379,8 @@ def _six_cycle_rows(n: int, off: _Walk, on: _Walk) -> list[CheckResult]:
         if run_x[0] != 3:  # a pair the flips-on walk leaves unjoined
             table_x, table_y = run_x, run_y
             run_x, run_y = list(run_x), list(run_y)
-            _pair_round(run_x, True)
-            _pair_round(run_y, False)
+            _pair_round(run_x)
+            _pair_round(run_y)
         edges_x, end_x = _walk(x, _forward_half(table_x))
         edges_y, end_y = _walk(y, _forward_half(table_y))
         mod_x, mod_end_x = _walk(x, _forward_half(run_x))
@@ -421,7 +422,7 @@ def check_round_orbit(n: int) -> CheckResult:
     kept, so memory is O(n); time is C_n rounds of O(n) work, and no cap
     applies.  Not one of run_checks' rows.
     """
-    rounds = comb(2 * n, n) // (n + 1)
+    rounds = _catalan(n)
     orbit = round_orbit(n)
     start = next(orbit)
     length = next(
@@ -443,9 +444,9 @@ def run_checks(n: int) -> list[CheckResult]:
     (flips on), and the flips-on tables, one byte per step, which the
     listing-* rows replay as a flip stream from the walk's first word:
     the cycle counts read each landed table's head, the listing and
-    six-cycle rows its body.  A walk that raises gives one FAIL row
-    "walk" naming the exception in place of the rows it feeds.  The
-    plane trees are counted by plane_tree_count, the number of flips-off
+    six-cycle rows its body.  A walk or a flip graph that raises gives
+    one FAIL row, "walk" or "flip-graph", naming the exception in place
+    of the rows it feeds.  The plane trees are counted by plane_tree_count, the number of flips-off
     cycles expected; flip_graph tests only the pair sources.
     """
     if not 1 <= n <= FULL_GRAPH_CAP:
@@ -461,7 +462,10 @@ def run_checks(n: int) -> list[CheckResult]:
                 steps.extend(table)
             yield z, x, table
 
-    graph = check_flip_graph(n, flip_graph(n))
+    try:
+        graph = check_flip_graph(n, flip_graph(n))
+    except Exception as e:  # so is a faulty flip graph
+        graph = [CheckResult("flip-graph", n, False, f"raised {e!r}")]
     try:
         six_cycles = _six_cycle_rows(n, tap(False), tap(True))
     except Exception as e:  # a faulty walk is a failed check, not a crash

@@ -555,7 +555,7 @@ def _patched_round(x: str) -> list[int]:
     n = len(x) // 2
     table = _round_oracle(x, False)
     seq = table[:]
-    hamcycle._pair_round(seq, x[1] == "1")
+    hamcycle._pair_round(seq)
     if x[1] == "1":  # a source 110w0v, b = T[0]
         b = table[0]
         patched = seq[0], seq[2], seq[4], seq[2 * b - 2], seq[-2]
@@ -607,7 +607,7 @@ def test_the_exchange_maps_each_source_table_to_its_target_round():
     for x in sources:
         seq = hamcycle._basic_table(x)
         target = hamcycle._basic_table("101" + x[3:])
-        hamcycle._pair_round(target, False)
+        hamcycle._pair_round(target)
         hamcycle._exchange(seq)
         assert seq == target, x
         hamcycle._exchange(seq)

@@ -336,9 +336,9 @@ def test_six_cycle_rows_fail_on_a_wrong_target_rule(monkeypatch):
     # both endpoints and borrows no six-cycle
     pair_round = hamcycle._pair_round
 
-    def basic_target(seq: list[int], source: bool) -> None:
-        if source:
-            pair_round(seq, source)
+    def basic_target(seq: list[int]) -> None:
+        if seq[0] != 2:  # a source's basic table
+            pair_round(seq)
 
     for module in (hamcycle, verify):
         monkeypatch.setattr(module, "_pair_round", basic_target)
@@ -353,9 +353,9 @@ def test_six_cycle_rows_fail_when_the_walk_keeps_targets_basic(monkeypatch):
     # rows see the fault only through the tables the walk runs
     pair_round = hamcycle._pair_round
 
-    def basic_target(seq: list[int], source: bool) -> None:
-        if source:
-            pair_round(seq, source)
+    def basic_target(seq: list[int]) -> None:
+        if seq[0] != 2:  # a source's basic table
+            pair_round(seq)
 
     monkeypatch.setattr(hamcycle, "_pair_round", basic_target)
     assert verify._pair_round is pair_round
@@ -536,15 +536,42 @@ def test_run_checks_reports_wrong_landings_as_failed_rows(monkeypatch, capsys):
     monkeypatch.setattr(hamcycle, "_round_end", one_too_far)
     for n in range(2, 7):
         assert _failing(run_checks(n))
-    walk = _failing(run_checks(3))["walk"]
-    assert walk.startswith("raised IndexError(")
-    assert main(["verify", "--max-n", "4"]) == 1
+    walk = _failing(run_checks(4))["walk"]
+    assert walk.startswith("raised ValueError(")
+    assert main(["verify", "--max-n", "5"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[2] for line in out if line.startswith("CHECK walk")] == [
-        "n=3",
         "n=4",
+        "n=5",
     ]
-    assert out[-1].startswith("CHECK flip-graph-monotone n=4 PASS")
+    assert out[-1].startswith("CHECK flip-graph-monotone n=5 PASS")
+
+
+def test_run_checks_reports_a_raising_flip_graph_as_a_failed_row(monkeypatch, capsys):
+    # a stand-in for the flip graph's canonical rooting that breaks on
+    # trees whose word has two 1100 factors, first met at n = 4: one FAIL
+    # row replaces the three flip-graph rows, and the walked rows and
+    # the later n still run
+    canonical_root = verify.canonical_root
+
+    def broken(x: str) -> str:
+        if x.count("1100") > 1:
+            raise IndexError("two 1100 factors")
+        return canonical_root(x)
+
+    monkeypatch.setattr(verify, "canonical_root", broken)
+    assert _failing(run_checks(3)) == {}
+    rows = _by_name(run_checks(4))
+    failing = _failing(rows.values())
+    assert failing == {"flip-graph": "raised IndexError('two 1100 factors')"}
+    assert not [name for name in rows if name.startswith("flip-graph-")]
+    assert main(["verify", "--max-n", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == [
+        f"CHECK flip-graph n={n} FAIL raised IndexError('two 1100 factors')"
+        for n in (4, 5)
+    ]
+    assert out[-1] == "CHECK six-cycle-nesting n=5 PASS"
 
 
 @pytest.mark.parametrize("n", range(1, 12))
